@@ -230,6 +230,30 @@ def test_exhaustive_budget_refuses_oversized_sweeps():
         check_exchange(INT_SUB, Budget.exhaustive(11, max_evaluations=1000))
     assert info.value.estimate > 1000
 
+    # the cost models on K_4 (n=6, k=3: 42 subsets), read at a zero cap before
+    # a single oracle call
+    calls = []
+
+    def counted(x, F):
+        calls.append(x)
+        return K4.oracle.member(x, F)
+
+    M = MatroidInstance(K4.ground, HullOracle("counted", counted), K4.loops)
+    refusals = [
+        (check_hull_axioms, "hull-operator", 588),
+        (check_idempotent, "idempotence", 504),
+        (check_exchange, "exchange", 1512),
+    ]
+    for check, name, estimate in refusals:
+        with pytest.raises(BudgetError) as info:
+            check(M, Budget.exhaustive(3, max_evaluations=0))
+        assert info.value.estimate == estimate
+        assert str(info.value) == (
+            f"exhaustive {name} sweep over 6 elements with |A| <= 3 needs about "
+            f"{estimate} oracle evaluations (cap 0); use a sampled budget with a seed"
+        )
+    assert calls == []
+
 
 def test_budget_parse_round_trip():
     assert Budget.parse("exhaustive") == Budget.exhaustive(3)
@@ -269,3 +293,139 @@ def test_reverify_refuses_passing_reports():
     report = check_exchange(F2_D2, Budget.exhaustive(2))
     with pytest.raises(InputError):
         reverify_witness(F2_D2, report)
+
+
+# --- pinned sweep witnesses ---------------------------------------------------------
+#
+# Verdicts and witnesses of all three sweeps, recorded as literals, so that a
+# change to the case order of an exhaustive sweep or to the draw order of a
+# sampled one shows up as a failure.  None means the sweep holds on the budget.
+
+PINNED_INSTANCES = {
+    "integer_subgroup-6": build_integer_hull(IntegerHullSpec(6, "subgroup")),
+    "Z6": build_abelian_linear_matroid(FiniteAbelianGroup((6,))),
+    "Z12": build_abelian_linear_matroid(FiniteAbelianGroup((12,))),
+    "Z2+Z4": build_abelian_linear_matroid(FiniteAbelianGroup((2, 4))),
+    "K5": build_graphic_matroid(GraphSpec(5)),
+    # extensive, but the hull of {0} holds 4 and the hull of {0, 1} does not
+    "not-monotone": _broken_instance(lambda x, F: x in F or (len(F) == 1 and x == 4)),
+    # as above, and 3-sets have empty hulls: the exhaustive sweep reports the
+    # extensivity failure at size 3 ahead of the monotonicity failure at size 2
+    "not-extensive": _broken_instance(
+        lambda x, F: (x in F and len(F) < 3) or (len(F) == 1 and x == 4)
+    ),
+}
+
+MONO_0_01 = {"property": "monotone", "A": [0], "B": [0, 1], "x": 4}
+
+# (budget text, seed) -> witnesses of (hull-operator, idempotent, exchange)
+PINNED_WITNESSES = {
+    "integer_subgroup-6": {
+        ("exhaustive:1", None): (None, None, {"A": [], "x": 3, "y": 1}),
+        ("exhaustive:2", None): (None, None, {"A": [], "x": 3, "y": 1}),
+        ("exhaustive:3", None): (None, None, {"A": [], "x": 3, "y": 1}),
+        ("sampled:40", 0): (None, None, {"A": [], "x": 11, "y": 6}),
+        ("sampled:300:2", 7): (None, None, {"A": [0, 8], "x": 4, "y": 1}),
+        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:60:1", 3): (None, None, {"A": [], "x": 8, "y": 4}),
+    },
+    "Z6": {
+        ("exhaustive:1", None): (None, {"A": [2], "x": 3}, None),
+        ("exhaustive:2", None): (None, {"A": [2], "x": 3}, None),
+        ("exhaustive:3", None): (None, {"A": [2], "x": 3}, None),
+        ("sampled:40", 0): (None, {"A": [2], "x": 3}, None),
+        ("sampled:300:2", 7): (None, {"A": [0, 2], "x": 3}, None),
+        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:60:1", 3): (None, {"A": [4], "x": 3}, None),
+    },
+    "Z12": {
+        ("exhaustive:1", None): (None, {"A": [3], "x": 4}, None),
+        ("exhaustive:2", None): (None, {"A": [3], "x": 4}, None),
+        ("exhaustive:3", None): (None, {"A": [3], "x": 4}, None),
+        ("sampled:40", 0): (None, {"A": [3, 9], "x": 4}, None),
+        ("sampled:300:2", 7): (None, {"A": [0, 8], "x": 3}, None),
+        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:60:1", 3): (None, {"A": [9], "x": 4}, None),
+    },
+    "Z2+Z4": {
+        ("exhaustive:1", None): (None, {"A": [1], "x": 4}, None),
+        ("exhaustive:2", None): (None, {"A": [1], "x": 4}, None),
+        ("exhaustive:3", None): (None, {"A": [1], "x": 4}, None),
+        ("sampled:40", 0): (None, {"A": [1], "x": 4}, None),
+        ("sampled:300:2", 7): (None, {"A": [2], "x": 4}, None),
+        ("sampled:5:4", 12345): (None, {"A": [2, 3], "x": 4}, None),
+        ("sampled:60:1", 3): (None, {"A": [7], "x": 4}, None),
+    },
+    "K5": {
+        ("exhaustive:1", None): (None, None, None),
+        ("exhaustive:2", None): (None, None, None),
+        ("exhaustive:3", None): (None, None, None),
+        ("sampled:40", 0): (None, None, None),
+        ("sampled:300:2", 7): (None, None, None),
+        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:60:1", 3): (None, None, None),
+    },
+    "not-monotone": {
+        ("exhaustive:1", None): (None, None, {"A": [], "x": 4, "y": 0}),
+        ("exhaustive:2", None): (MONO_0_01, None, {"A": [], "x": 4, "y": 0}),
+        ("exhaustive:3", None): (MONO_0_01, None, {"A": [], "x": 4, "y": 0}),
+        ("sampled:40", 0): (
+            {"property": "monotone", "A": [1], "B": [0, 1, 3], "x": 4},
+            None,
+            {"A": [], "x": 4, "y": 1},
+        ),
+        ("sampled:300:2", 7): (
+            {"property": "monotone", "A": [3], "B": [0, 3], "x": 4},
+            None,
+            {"A": [], "x": 4, "y": 0},
+        ),
+        ("sampled:5:4", 12345): (
+            {"property": "monotone", "A": [0], "B": [0, 3], "x": 4},
+            None,
+            {"A": [], "x": 4, "y": 3},
+        ),
+        ("sampled:60:1", 3): (None, None, {"A": [], "x": 4, "y": 1}),
+    },
+    "not-extensive": {
+        ("exhaustive:1", None): (None, None, {"A": [], "x": 4, "y": 0}),
+        ("exhaustive:2", None): (MONO_0_01, None, {"A": [], "x": 4, "y": 0}),
+        ("exhaustive:3", None): (
+            {"property": "extensive", "A": [0, 1, 2], "x": 0},
+            None,
+            {"A": [], "x": 4, "y": 0},
+        ),
+        ("sampled:40", 0): (
+            {"property": "extensive", "A": [0, 1, 3], "x": 0},
+            None,
+            {"A": [], "x": 4, "y": 2},
+        ),
+        ("sampled:300:2", 7): (
+            {"property": "monotone", "A": [3], "B": [0, 3], "x": 4},
+            None,
+            {"A": [], "x": 4, "y": 0},
+        ),
+        ("sampled:5:4", 12345): (
+            {"property": "extensive", "A": [0, 1, 2], "x": 0},
+            None,
+            None,
+        ),
+        ("sampled:60:1", 3): (None, None, {"A": [], "x": 4, "y": 1}),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_sweep_witnesses_are_pinned(name):
+    M = PINNED_INSTANCES[name]
+    for (text, seed), expected in PINNED_WITNESSES[name].items():
+        budget = Budget.parse(text, seed=seed)
+        checks = (check_hull_axioms, check_idempotent, check_exchange)
+        for check, witness in zip(checks, expected):
+            report = check(M, budget)
+            where = (name, text, seed, report.axiom)
+            assert report.witness == witness, where
+            if witness is None:
+                assert report.verdict == "holds-on-budget", where
+            else:
+                assert report.verdict == "violated", where
+                assert reverify_witness(M, report), where
