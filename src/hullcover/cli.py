@@ -327,11 +327,14 @@ def _execute(subcommand, params, seed, out_path):
 
 
 def _parse_int_list(text):
-    return [int(part) for part in str(text).split(",") if part.strip() != ""]
+    try:
+        return [int(part) for part in str(text).split(",") if part.strip() != ""]
+    except ValueError:
+        raise InputError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_elements(text):
-    return [[int(c) for c in chunk.split(",")] for chunk in str(text).split(";") if chunk.strip()]
+    return [_parse_int_list(chunk) for chunk in str(text).split(";") if chunk.strip()]
 
 
 def _build_parser():
@@ -436,7 +439,9 @@ def main(argv=None) -> int:
             return _execute("group", params, None, args.out)
         if args.command == "rerun":
             document = _load_json(args.source)
-            manifest = document.get("manifest", document)
+            manifest = document.get("manifest", document) if isinstance(document, dict) else None
+            if not isinstance(manifest, dict):
+                raise InputError(f"{args.source}: expected a JSON object holding a manifest")
             for field in ("subcommand", "parameters"):
                 if field not in manifest:
                     raise InputError(f"manifest is missing {field!r}")

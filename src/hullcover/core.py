@@ -9,9 +9,11 @@ materialized over the finite ground set.
 
 Elements are identified by their index in the ground set's fixed order,
 which is also the canonical tie-breaking order for bases, circuits, layers
-and witnesses.  Every sweep reports the first violation in canonical
-(size, then lexicographic) order, so results are deterministic and a sweep
-split across workers merges by taking the lowest-ranked witness.
+and witnesses.  Axiom sweeps report their first violation: exhaustive sweeps
+visit subsets in canonical (size, then lexicographic) order, except that the
+hull-operator sweep checks extensivity on every subset before monotonicity
+on any; sampled sweeps follow the order of their seeded draws.  Either way a
+budget determines its report.
 """
 
 from __future__ import annotations
@@ -236,19 +238,30 @@ class Budget:
     def sampled(cls, seed, count, max_subset_size=3):
         return cls("sampled", max_subset_size, int(seed), int(count))
 
+    def __post_init__(self):
+        if self.mode not in ("exhaustive", "sampled"):
+            raise InputError(f"unknown budget mode {self.mode!r}; use exhaustive or sampled")
+        if not isinstance(self.max_subset_size, int) or self.max_subset_size < 0:
+            raise InputError(f"budget K must be an integer >= 0, got {self.max_subset_size!r}")
+        if self.mode == "sampled" and (not isinstance(self.count, int) or self.count < 1):
+            raise InputError(f"sampled budget COUNT must be an integer >= 1, got {self.count!r}")
+        if self.mode == "sampled" and not isinstance(self.seed, int):
+            raise InputError(f"sampled budget needs an integer seed, got {self.seed!r}")
+
     @classmethod
     def parse(cls, text, seed=None):
         """Parse "exhaustive[:K]" or "sampled:COUNT[:K]" (seed given separately)."""
-        parts = str(text).split(":")
-        if parts[0] == "exhaustive":
-            k = int(parts[1]) if len(parts) > 1 else 3
-            return cls.exhaustive(k)
-        if parts[0] == "sampled":
-            if len(parts) < 2:
+        mode, *numbers = str(text).split(":")
+        try:
+            numbers = [int(part) for part in numbers]
+        except ValueError:
+            raise InputError(f"budget {text!r}: COUNT and K must be integers") from None
+        if mode == "exhaustive":
+            return cls.exhaustive(*numbers[:1])
+        if mode == "sampled":
+            if not numbers:
                 raise InputError("sampled budget needs a count: sampled:COUNT[:K]")
-            count = int(parts[1])
-            k = int(parts[2]) if len(parts) > 2 else 3
-            return cls.sampled(0 if seed is None else seed, count, k)
+            return cls.sampled(0 if seed is None else seed, *numbers[:2])
         raise InputError(f"unknown budget {text!r}; use exhaustive[:K] or sampled:COUNT[:K]")
 
     def describe(self) -> str:
@@ -279,40 +292,43 @@ class AxiomReport:
         return self.verdict == HOLDS
 
 
-def _subsets_up_to(n, k):
-    universe = range(n)
-    for size in range(min(k, n) + 1):
-        for combo in itertools.combinations(universe, size):
-            yield frozenset(combo)
+# refusal messages name the property; reports use the axiom's adjective
+_SWEEP_NAMES = {"idempotent": "idempotence"}
 
 
-def _subset_count(n, k) -> int:
-    return sum(comb(n, s) for s in range(min(k, n) + 1))
-
-
-def _refuse_if_over(budget: Budget, estimate: int, axiom: str, n: int):
-    if estimate > budget.max_evaluations:
-        raise BudgetError(
-            f"exhaustive {axiom} sweep over {n} elements with |A| <= "
-            f"{budget.max_subset_size} needs about {estimate} oracle evaluations "
-            f"(cap {budget.max_evaluations}); use a sampled budget with a seed",
-            estimate=estimate,
-        )
-
-
-def _sampled_sets(M, budget):
-    rng = random.Random(budget.seed)
+def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
+    """Report the first witness that ``exhaustive(sets)`` or ``sampled(sets, rng)``
+    yields over the budget's subsets, refusing first if the estimated oracle
+    evaluations (subsets times ``cost_per_set(n, K)``) exceed the cap.
+    """
     n = M.ground.size
     k = min(budget.max_subset_size, n)
-    for _ in range(budget.count):
-        size = rng.randint(0, k)
-        yield rng, frozenset(rng.sample(range(n), size))
+    if budget.mode == "exhaustive":
+        estimate = sum(comb(n, s) for s in range(k + 1)) * cost_per_set(n, k)
+        if estimate > budget.max_evaluations:
+            raise BudgetError(
+                f"exhaustive {_SWEEP_NAMES.get(axiom, axiom)} sweep over {n} elements "
+                f"with |A| <= {budget.max_subset_size} needs about {estimate} oracle "
+                f"evaluations (cap {budget.max_evaluations}); use a sampled budget with a seed",
+                estimate=estimate,
+            )
+        subsets = (itertools.combinations(range(n), size) for size in range(k + 1))
+        sets = map(frozenset, itertools.chain.from_iterable(subsets))
+        cases = exhaustive(sets)
+    else:
+        rng = random.Random(budget.seed)
+        sets = (frozenset(rng.sample(range(n), rng.randint(0, k))) for _ in range(budget.count))
+        cases = sampled(sets, rng)
+    witness = next(filter(None, cases), None)
+    return AxiomReport(axiom, HOLDS if witness is None else VIOLATED, witness, budget.describe())
 
 
 def check_hull_axioms(M: MatroidInstance, budget: Budget) -> AxiomReport:
-    """Check extensivity and monotonicity of the oracle on the budget."""
+    """Check extensivity and monotonicity of the oracle on the budget.
+
+    Sampled sweeps test monotonicity on each draw against a seeded subset of it.
+    """
     member = M.oracle.member
-    described = budget.describe()
 
     def extensive_violation(A):
         for a in sorted(A):
@@ -323,46 +339,28 @@ def check_hull_axioms(M: MatroidInstance, budget: Budget) -> AxiomReport:
     def monotone_violation(F, G):
         clF, clG = closure(M, F), closure(M, G)
         if not clF <= clG:
-            return {
-                "property": "monotone",
-                "A": sorted(F),
-                "B": sorted(G),
-                "x": min(clF - clG),
-            }
+            return {"property": "monotone", "A": sorted(F), "B": sorted(G), "x": min(clF - clG)}
         return None
 
-    if budget.mode == "exhaustive":
-        n = M.ground.size
-        k = budget.max_subset_size
-        estimate = _subset_count(n, k) * (n + 2 ** min(k, n))
-        _refuse_if_over(budget, estimate, "hull-operator", n)
-        for A in _subsets_up_to(n, k):
-            wit = extensive_violation(A)
-            if wit:
-                return AxiomReport("hull-operator", VIOLATED, wit, described)
-        for G in _subsets_up_to(n, k):
+    def exhaustive(sets):
+        sets = tuple(sets)
+        yield from map(extensive_violation, sets)
+        for G in sets:
             sortedG = sorted(G)
             for size in range(len(sortedG)):
                 for combo in itertools.combinations(sortedG, size):
-                    wit = monotone_violation(frozenset(combo), G)
-                    if wit:
-                        return AxiomReport("hull-operator", VIOLATED, wit, described)
-        return AxiomReport("hull-operator", HOLDS, None, described)
+                    yield monotone_violation(frozenset(combo), G)
 
-    for rng, G in _sampled_sets(M, budget):
-        wit = extensive_violation(G)
-        if wit:
-            return AxiomReport("hull-operator", VIOLATED, wit, described)
-        F = frozenset(e for e in G if rng.random() < 0.5)
-        wit = monotone_violation(F, G)
-        if wit:
-            return AxiomReport("hull-operator", VIOLATED, wit, described)
-    return AxiomReport("hull-operator", HOLDS, None, described)
+    def sampled(sets, rng):
+        for G in sets:
+            yield extensive_violation(G)
+            yield monotone_violation(frozenset(e for e in G if rng.random() < 0.5), G)
+
+    return _sweep("hull-operator", M, budget, lambda n, k: n + 2**k, exhaustive, sampled)
 
 
 def check_idempotent(M: MatroidInstance, budget: Budget) -> AxiomReport:
     """Check closure(closure(A)) == closure(A) on the budget."""
-    described = budget.describe()
 
     def violation(A):
         S = closure(M, A)
@@ -371,71 +369,47 @@ def check_idempotent(M: MatroidInstance, budget: Budget) -> AxiomReport:
             return {"A": sorted(A), "x": min(S ^ T)}
         return None
 
-    if budget.mode == "exhaustive":
-        n = M.ground.size
-        k = budget.max_subset_size
-        _refuse_if_over(budget, _subset_count(n, k) * 2 * max(n, 1), "idempotence", n)
-        for A in _subsets_up_to(n, k):
-            wit = violation(A)
-            if wit:
-                return AxiomReport("idempotent", VIOLATED, wit, described)
-        return AxiomReport("idempotent", HOLDS, None, described)
+    def cases(sets, rng=None):
+        return map(violation, sets)
 
-    for _, A in _sampled_sets(M, budget):
-        wit = violation(A)
-        if wit:
-            return AxiomReport("idempotent", VIOLATED, wit, described)
-    return AxiomReport("idempotent", HOLDS, None, described)
-
-
-def _exchange_witness(A, x, y, forward):
-    # orient so the reported x lies in <A u {y}> while y stays outside <A u {x}>
-    if not forward:
-        x, y = y, x
-    return {"A": sorted(A), "x": x, "y": y}
+    return _sweep("idempotent", M, budget, lambda n, k: 2 * max(n, 1), cases, cases)
 
 
 def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
     """Check the exchange biconditional for x, y outside closure(A).
 
     Pairs with x or y already inside closure(A) are skipped, never counted
-    as violations.  A violation witness is oriented so that x is the element
-    inside the hull of A and y, matching how counterexamples read.
+    as violations.  Exhaustive sweeps check every such pair, sampled sweeps
+    one seeded pair per draw.  A violation witness is oriented so that x is
+    the element inside the hull of A and y, matching how counterexamples read.
     """
     member = M.oracle.member
-    described = budget.describe()
 
-    def evaluate(A, x, y):
+    def outside(A):
+        clA = closure(M, A)
+        return [z for z in M.ground.elements if z not in clA]
+
+    def violation(A, x, y):
         forward = member(x, A | {y})
         backward = member(y, A | {x})
-        if forward != backward:
-            return _exchange_witness(A, x, y, forward)
-        return None
+        if forward == backward:
+            return None
+        if not forward:
+            x, y = y, x
+        return {"A": sorted(A), "x": x, "y": y}
 
-    if budget.mode == "exhaustive":
-        n = M.ground.size
-        k = budget.max_subset_size
-        _refuse_if_over(budget, _subset_count(n, k) * max(n, 1) ** 2, "exchange", n)
-        for A in _subsets_up_to(n, k):
-            clA = closure(M, A)
-            outside = [z for z in M.ground.elements if z not in clA]
-            for i, x in enumerate(outside):
-                for y in outside[i + 1 :]:
-                    wit = evaluate(A, x, y)
-                    if wit:
-                        return AxiomReport("exchange", VIOLATED, wit, described)
-        return AxiomReport("exchange", HOLDS, None, described)
+    def exhaustive(sets):
+        for A in sets:
+            for x, y in itertools.combinations(outside(A), 2):
+                yield violation(A, x, y)
 
-    for rng, A in _sampled_sets(M, budget):
-        clA = closure(M, A)
-        outside = sorted(set(M.ground.elements) - clA)
-        if len(outside) < 2:
-            continue
-        x, y = rng.sample(outside, 2)
-        wit = evaluate(A, x, y)
-        if wit:
-            return AxiomReport("exchange", VIOLATED, wit, described)
-    return AxiomReport("exchange", HOLDS, None, described)
+    def sampled(sets, rng):
+        for A in sets:
+            candidates = outside(A)
+            if len(candidates) >= 2:
+                yield violation(A, *rng.sample(candidates, 2))
+
+    return _sweep("exchange", M, budget, lambda n, k: max(n, 1) ** 2, exhaustive, sampled)
 
 
 def reverify_witness(M: MatroidInstance, report: AxiomReport) -> bool:

@@ -143,7 +143,10 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
         edges = []
         seen = set()
         for e in spec.edges:
-            u, v = int(e[0]), int(e[1])
+            try:
+                u, v = (int(w) for w in e)
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e!r} must be a pair of vertex indices") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) has endpoints outside 0..{n - 1}")
             if u == v:
@@ -265,17 +268,16 @@ def matroid_from_spec(mapping) -> MatroidInstance:
         p = _field(mapping, "p", int)
         if "dim" in mapping:
             return build_vector_matroid(VectorMatroidSpec("fp", p=p, dim=_field(mapping, "dim", int)))
-        vectors = tuple(tuple(int(c) for c in v) for v in _field(mapping, "vectors", list))
+        vectors = _rows(mapping, "vectors", int)
         return build_vector_matroid(VectorMatroidSpec("fp", p=p, vectors=vectors))
     if kind == "vector_q":
-        raw = _field(mapping, "vectors", list)
-        vectors = tuple(tuple(parse_rational(c) for c in v) for v in raw)
+        vectors = _rows(mapping, "vectors", parse_rational)
         return build_vector_matroid(VectorMatroidSpec("q", vectors=vectors))
     if kind == "graphic":
         if "complete" in mapping:
             return build_graphic_matroid(GraphSpec(_field(mapping, "complete", int)))
         n = _field(mapping, "vertices", int)
-        edges = tuple(tuple(e) for e in _field(mapping, "edges", list))
+        edges = _rows(mapping, "edges", int)
         return build_graphic_matroid(GraphSpec(n, edges))
     if kind == "abelian":
         return build_abelian_linear_matroid(FiniteAbelianGroup(tuple(_field(mapping, "orders", list))))
@@ -296,6 +298,10 @@ def _field(mapping, name, caster):
         return caster(mapping[name])
     except (TypeError, ValueError) as exc:
         raise InputError(f"field {name!r}: {exc}") from None
+
+
+def _rows(mapping, name, caster):
+    return _field(mapping, name, lambda rows: tuple(tuple(caster(c) for c in row) for row in rows))
 
 
 def parse_rational(text) -> Fraction:

@@ -208,12 +208,15 @@ def test_group_independence(tmp_path):
 def test_group_argument_validation(tmp_path):
     assert run(["group", "torsion", "--orders", "4", "--out", tmp_path / "x.json"]) == 2
     assert run(["group", "independence", "--orders", "4", "--out", tmp_path / "x.json"]) == 2
+    assert run(["group", "torsion", "--orders", "2,x", "--n", "2", "--out", tmp_path / "x.json"]) == 2
+    elements = ["--elements", "1;y"]
+    assert run(["group", "independence", "--orders", "4", *elements, "--out", tmp_path / "x.json"]) == 2
 
 
 # --- manifests and determinism ----------------------------------------------------------
 
 
-def test_parse_errors_exit_2(tmp_path):
+def test_parse_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run(["partition", bad, "--out", tmp_path / "x.json"]) == 2
@@ -221,6 +224,32 @@ def test_parse_errors_exit_2(tmp_path):
     assert run(["partition", unknown, "--out", tmp_path / "y.json"]) == 2
     missing = write_json(tmp_path / "missing.json", {"kind": "vector_fp"})
     assert run(["partition", missing, "--out", tmp_path / "z.json"]) == 2
+    bad_specs = [
+        {"kind": "vector_fp", "p": 2, "vectors": [[1, "x"]]},
+        {"kind": "vector_fp", "p": 2, "vectors": [1, 0]},
+        {"kind": "vector_q", "vectors": [[None]]},
+        {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [2]]},
+        {"kind": "graphic", "vertices": 3, "edges": [[0, "y"]]},
+        {"kind": "graphic", "vertices": 3, "edges": [4]},
+    ]
+    for i, spec in enumerate(bad_specs):
+        path = write_json(tmp_path / f"spec{i}.json", spec)
+        assert run(["partition", path, "--out", tmp_path / "s.json"]) == 2, spec
+    k4 = write_json(tmp_path / "k4.json", {"kind": "graphic", "complete": 4})
+    for budget in ("sampled:abc", "exhaustive:x", "sampled:-5", "sampled:0", "exhaustive:-1",
+                   "sampled:5:-1"):
+        assert run(["check-axioms", k4, "--budget", budget, "--out", tmp_path / "b.json"]) == 2
+    array = write_json(tmp_path / "array.json", [1, 2, 3])
+    assert run(["rerun", array, "--out", tmp_path / "r.json"]) == 2
+    # a manifest that bypasses Budget.parse meets the same bounds
+    assert run(["check-axioms", k4, "--budget", "sampled:5", "--out", tmp_path / "ok.json"]) == 0
+    document = load(tmp_path / "ok.json")
+    document["manifest"]["parameters"]["budget"]["count"] = -5
+    edited = write_json(tmp_path / "edited.json", document)
+    assert run(["rerun", edited, "--out", tmp_path / "r.json"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 3 + len(bad_specs) + 6 + 2
+    assert all(line.startswith("hullcover: error: ") for line in errors)
 
 
 GOLDEN_RUNS = [

@@ -260,10 +260,21 @@ def test_budget_parse_round_trip():
     assert Budget.parse("exhaustive:2") == Budget.exhaustive(2)
     assert Budget.parse("sampled:100", seed=5) == Budget.sampled(5, 100)
     assert Budget.parse("sampled:100:2", seed=5) == Budget.sampled(5, 100, 2)
-    with pytest.raises(InputError):
-        Budget.parse("nonsense")
-    with pytest.raises(InputError):
-        Budget.parse("sampled")
+    assert Budget.parse("exhaustive:0") == Budget.exhaustive(0)
+    for text in ("nonsense", "sampled", "sampled:abc", "exhaustive:x", "sampled:5:k",
+                 "sampled:-5", "sampled:0", "exhaustive:-1", "sampled:5:-1"):
+        with pytest.raises(InputError):
+            Budget.parse(text, seed=1)
+    # the same bounds hold for budgets built directly, as a rerun manifest does
+    for fields in ({"mode": "banana"}, {"mode": "exhaustive", "max_subset_size": -1},
+                   {"mode": "exhaustive", "max_subset_size": "3"},
+                   {"mode": "sampled", "seed": 0, "count": 0},
+                   {"mode": "sampled", "seed": 0, "count": None},
+                   {"mode": "sampled", "seed": None, "count": 5}):
+        with pytest.raises(InputError):
+            Budget(**fields)
+    # a zero cap stays legal: it reads a sweep's estimate without running it
+    assert Budget.exhaustive(3, max_evaluations=0).max_evaluations == 0
 
 
 def _broken_instance(member):
