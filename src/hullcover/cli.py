@@ -80,8 +80,18 @@ def _decorate_witness(M, witness):
     return out
 
 
+def _require(mapping, keys, what):
+    """Return ``mapping``; raise InputError unless it is an object holding every key."""
+    if not isinstance(mapping, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(mapping).__name__}")
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise InputError(f"{what} is missing {', '.join(map(repr, missing))}")
+    return mapping
+
+
 def _resolve_coloring(mapping, seed):
-    resolved = dict(mapping)
+    resolved = dict(_require(mapping, (), "coloring"))
     if "table" in resolved:
         resolved.setdefault("formula", "table")
         return resolved
@@ -91,9 +101,11 @@ def _resolve_coloring(mapping, seed):
 
 
 def _coloring_from_dict(mapping):
+    _require(mapping, (), "coloring")
     ncolors = int(mapping.get("colors", 1))
     if "table" in mapping:
         return ProductColoring.from_table(mapping["table"], ncolors)
+    _require(mapping, ("x_size", "y_size"), "coloring without a table")
     nx, ny = int(mapping["x_size"]), int(mapping["y_size"])
     formula = mapping.get("formula", "constant")
     if formula == "constant":
@@ -106,7 +118,7 @@ def _coloring_from_dict(mapping):
 
 
 def _group_from_dict(mapping):
-    if "cyclic" in mapping:
+    if "cyclic" in _require(mapping, (), "group"):
         return cyclic_group(int(mapping["cyclic"]))
     if "orders" in mapping:
         return group_from_abelian(FiniteAbelianGroup(tuple(mapping["orders"])))
@@ -163,7 +175,7 @@ def _run_partition(params):
 
 def _run_check_axioms(params):
     M = matroid_from_spec(params["spec"])
-    b = params["budget"]
+    b = _require(params["budget"], ("mode", "max_subset_size"), "budget")
     budget = Budget(
         mode=b["mode"],
         max_subset_size=b["max_subset_size"],
@@ -209,7 +221,7 @@ def _run_rectangle(params):
 
 def _run_quad(params):
     group = _group_from_dict(params["group"])
-    descriptor = params["coloring"]
+    descriptor = _require(params["coloring"], ("colors",), "coloring")
     chi = group_coloring(group, descriptor)
     cert = dependent_monochrome_quad(group, chi, int(descriptor["colors"]))
     payload = {
@@ -265,6 +277,8 @@ def _run_group(params):
     G = FiniteAbelianGroup(tuple(params["orders"]))
     op = params["op"]
     if op == "torsion":
+        if params.get("n") is None:
+            raise InputError("group torsion needs --n")
         n = int(params["n"])
         elems = sorted(n_torsion(G, n))
         payload = {"orders": list(G.orders), "n": n, "elements": [list(e) for e in elems]}
@@ -280,6 +294,8 @@ def _run_group(params):
         code = EXIT_OK if report.direct_sum_verified else EXIT_CERTIFICATE
         return "decomposition", payload, {"direct_sum_verified": report.direct_sum_verified}, code
     if op == "independence":
+        if not params.get("elements"):
+            raise InputError("group independence needs --elements")
         elems = [G.element(tuple(e)) for e in params["elements"]]
         independent = is_linearly_independent(G, elems)
         M = build_abelian_linear_matroid(G)
@@ -305,7 +321,20 @@ _RUNNERS = {
 }
 
 
+# the parameters each runner reads without a default; the objects among them
+# (budget, coloring) are checked where their runner reads them
+_REQUIRED = {
+    "partition": ("spec",),
+    "check-axioms": ("spec", "budget"),
+    "rectangle": ("coloring", "size"),
+    "quad": ("group", "coloring"),
+    "prefix-color": ("k",),
+    "group": ("op", "orders"),
+}
+
+
 def _execute(subcommand, params, seed, out_path):
+    _require(params, _REQUIRED[subcommand], "parameters")
     started = time.perf_counter()
     key, payload, verdicts, code = _RUNNERS[subcommand](params)
     elapsed = time.perf_counter() - started
@@ -432,10 +461,6 @@ def main(argv=None) -> int:
                 "n": args.n,
                 "elements": _parse_elements(args.elements) if args.elements else None,
             }
-            if args.op == "torsion" and args.n is None:
-                raise InputError("group torsion needs --n")
-            if args.op == "independence" and not params["elements"]:
-                raise InputError("group independence needs --elements")
             return _execute("group", params, None, args.out)
         if args.command == "rerun":
             document = _load_json(args.source)

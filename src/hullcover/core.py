@@ -162,13 +162,18 @@ def is_independent(M: MatroidInstance, A) -> bool:
 def find_circuit_within(M: MatroidInstance, A) -> Optional[tuple]:
     """A minimal dependent subset of A, or None when A is independent.
 
-    Subsets are scanned in canonical size-then-lexicographic order; the
-    first dependent one has minimum cardinality, so all its proper subsets
-    are independent and it is a circuit.  On matroid-flagged instances every
-    element of the returned circuit is checked to lie in the hull of the
-    rest.
+    A is tested for independence first, with |A| oracle calls, and the scan
+    runs only when A is dependent.  The early None is sound because the
+    oracle is monotone: a dependent subset C of A has some c in <C - {c}>,
+    which lies in <A - {c}>, so A would be dependent too.  Subsets are
+    scanned in canonical size-then-lexicographic order; the first dependent
+    one has minimum cardinality, so all its proper subsets are independent
+    and it is a circuit.  On matroid-flagged instances every element of the
+    returned circuit is checked to lie in the hull of the rest.
     """
     A = _as_subset(M, A)
+    if is_independent(M, A):
+        return None
     elems = sorted(A)
     member = M.oracle.member
     for size in range(1, len(elems) + 1):

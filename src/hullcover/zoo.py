@@ -5,6 +5,12 @@ elimination, Fractions throughout, no floating point), graphic matroids
 (connectivity via union-find), the division hull on a finite abelian group,
 and the two hulls on a window of the integers: the subgroup hull, which is
 not a matroid, and the division hull, which is.
+
+Every backend has one shape: ``span(F)`` prepares F once (an elimination, a
+union-find, a gcd or nonzero flag, a lookup in the abelian ``hull_memo``,
+which is unbounded) and returns the test ``x in <F>``.  ``_member`` turns it
+into the oracle's ``member(x, F)`` and reuses the last prepared span while
+consecutive calls pass an equal F, as ``closure`` does.
 """
 
 from __future__ import annotations
@@ -60,33 +66,44 @@ class _DisjointSet:
         return root
 
     def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
+        self.parent[self.find(y)] = self.find(x)
 
 
-def _reduce_against(pivots, row):
-    row = list(row)
-    for col, prow, in pivots:
+def _eliminate(rows, p):
+    """Echelon pivots ``(col, row)`` of ``rows`` over F_p, or over Q when p is 0."""
+    pivots = []
+    for row in rows:
+        row = _reduce(pivots, row, p)
+        for col, v in enumerate(row):
+            if v:
+                inv = pow(v, -1, p) if p else 1 / v
+                pivots.append((col, _reduce((), [inv * a for a in row], p)))
+                break
+    return pivots
+
+
+def _reduce(pivots, row, p):
+    for col, prow in pivots:
         coeff = row[col]
         if coeff:
             row = [a - coeff * b for a, b in zip(row, prow)]
-    return row
+    # over F_p the row is renormalized mod p, so coefficients stay small
+    return [a % p for a in row] if p else row
 
 
-def _in_span(rows, target, inverse):
-    """Span membership by elimination; ``inverse`` inverts a pivot coefficient."""
-    pivots = []
-    for row in rows:
-        row = _reduce_against(pivots, row)
-        for col, v in enumerate(row):
-            if v:
-                inv = inverse(v)
-                pivots.append((col, [inv * a for a in row]))
-                break
-    return not any(_reduce_against(pivots, target))
+def _member(span):
+    """``member(x, F)`` over ``span``, reusing the last span while F repeats."""
+    last_F, last_test = None, None
+
+    def member(x, F):
+        nonlocal last_F, last_test
+        if F is not last_F and F != last_F:
+            # a frozen copy: a caller's set mutated between calls is seen as new
+            frozen = frozenset(F)
+            last_test, last_F = span(frozen), frozen
+        return last_test(x)
+
+    return member
 
 
 def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
@@ -99,36 +116,23 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
             vectors = [tuple(int(c) % p for c in v) for v in spec.vectors]
-
-        # every intermediate row is renormalized mod p so coefficients stay small
-        def member(x, F, vecs=tuple(vectors), p=p):
-            pivots = []
-            for i in sorted(F):
-                row = [v % p for v in _reduce_against(pivots, vecs[i])]
-                for col, v in enumerate(row):
-                    if v:
-                        inv = pow(v, -1, p)
-                        pivots.append((col, [(inv * a) % p for a in row]))
-                        break
-            rem = _reduce_against(pivots, list(vecs[x]))
-            return not any(v % p for v in rem)
-
         kind = f"vector_fp(p={p})"
     elif spec.field == "q":
+        p = 0
         vectors = [tuple(Fraction(c) for c in v) for v in spec.vectors]
-
-        def member(x, F, vecs=tuple(vectors)):
-            return _in_span([list(vecs[i]) for i in sorted(F)], list(vecs[x]), lambda v: 1 / v)
-
         kind = "vector_q"
     else:
         raise InputError(f"unknown vector field {spec.field!r}; use 'fp' or 'q'")
+
+    def span(F, vecs=tuple(vectors), p=p):
+        pivots = _eliminate([vecs[i] for i in sorted(F)], p)
+        return lambda x: not any(_reduce(pivots, vecs[x], p))
 
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise InputError(f"vectors have mixed dimensions {sorted(dims)}")
     labels = ["(" + ",".join(str(c) for c in v) + ")" for v in vectors]
-    oracle = HullOracle(kind, member)
+    oracle = HullOracle(kind, _member(span))
     return MatroidInstance.build(GroundSet(tuple(labels)), oracle, True, tuple(vectors))
 
 
@@ -157,15 +161,15 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
             seen.add(key)
             edges.append(key)
 
-    def member(x, F, edges=tuple(edges), n=n):
+    def span(F, edges=tuple(edges), n=n):
         dsu = _DisjointSet(n)
         for i in F:
             dsu.union(*edges[i])
-        u, v = edges[x]
-        return dsu.find(u) == dsu.find(v)
+        root = [dsu.find(v) for v in range(n)]
+        return lambda x: root[edges[x][0]] == root[edges[x][1]]
 
     labels = [f"e{u}-{v}" for u, v in edges]
-    oracle = HullOracle("graphic", member)
+    oracle = HullOracle("graphic", _member(span))
     return MatroidInstance.build(GroundSet(tuple(labels)), oracle, True, tuple(edges))
 
 
@@ -203,17 +207,15 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
         multiples.append(tuple(row))
     hull_memo: dict = {}
 
-    def member(x, F):
-        if elems[x] == G.zero:
-            return True
+    def span(F):
         core = hull_memo.get(F)
         if core is None:
             core = subgroup_closure(G, [elems[i] for i in F]) - {G.zero}
             hull_memo[F] = core
-        return any(m in core for m in multiples[x])
+        return lambda x: elems[x] == G.zero or any(m in core for m in multiples[x])
 
     labels = [G.label(e) for e in elems]
-    oracle = HullOracle("abelian", member)
+    oracle = HullOracle("abelian", _member(span))
     return MatroidInstance.build(
         GroundSet(tuple(labels)), oracle, _division_hull_is_matroid(G), elems
     )
@@ -239,23 +241,21 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
 
     if spec.variant == "subgroup":
 
-        def member(x, F, values=values):
-            g = 0
-            for i in F:
-                g = gcd(g, values[i])
-            v = values[x]
-            return v % g == 0 if g else v == 0
+        def span(F, values=values):
+            g = gcd(*(values[i] for i in F))
+            return lambda x: values[x] % g == 0 if g else values[x] == 0
 
         kind, flagged = "integer_subgroup", False
     else:
 
-        def member(x, F, values=values):
-            return values[x] == 0 or any(values[i] for i in F)
+        def span(F, values=values):
+            nonzero = any(values[i] for i in F)
+            return lambda x: nonzero or values[x] == 0
 
         kind, flagged = "integer_linear", True
 
     labels = [str(v) for v in values]
-    oracle = HullOracle(kind, member)
+    oracle = HullOracle(kind, _member(span))
     return MatroidInstance.build(GroundSet(tuple(labels)), oracle, flagged, values)
 
 

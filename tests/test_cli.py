@@ -247,8 +247,34 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     document["manifest"]["parameters"]["budget"]["count"] = -5
     edited = write_json(tmp_path / "edited.json", document)
     assert run(["rerun", edited, "--out", tmp_path / "r.json"]) == 2
+    # missing or mistyped parameters in a rerun manifest
+    manifest = document["manifest"]
+    budget = {**manifest["parameters"]["budget"], "count": 5}
+    manifests = [
+        {"subcommand": "partition", "parameters": {"basis": None}},
+        {"subcommand": "partition", "parameters": [1, 2]},
+        {"subcommand": "group", "parameters": {"op": "torsion", "orders": [4], "n": None}},
+        {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {}}},
+    ] + [
+        {**manifest, "parameters": {**manifest["parameters"], "budget": bad}}
+        for bad in (
+            {k: v for k, v in budget.items() if k != "mode"},
+            {k: v for k, v in budget.items() if k != "max_subset_size"},
+            "sampled:5",
+            None,
+        )
+    ]
+    for i, bad in enumerate(manifests):
+        path = write_json(tmp_path / f"manifest{i}.json", {"manifest": bad})
+        assert run(["rerun", path, "--out", tmp_path / "r.json"]) == 2, bad
+    # coloring files without sizes, or not an object
+    for coloring in ({"y_size": 10, "colors": 2, "formula": "mod"}, {"x_size": 3}, [[0, 1]]):
+        path = write_json(tmp_path / "coloring.json", coloring)
+        assert run(["rectangle", path, "--size", "2", "--out", tmp_path / "c.json"]) == 2, coloring
+    group = write_json(tmp_path / "group.json", 5)
+    assert run(["quad", group, "--colors", "1", "--out", tmp_path / "q.json"]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert len(errors) == 3 + len(bad_specs) + 6 + 2
+    assert len(errors) == 3 + len(bad_specs) + 6 + 2 + len(manifests) + 3 + 1
     assert all(line.startswith("hullcover: error: ") for line in errors)
 
 

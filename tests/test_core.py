@@ -115,6 +115,23 @@ def test_paths_have_no_circuit():
     assert find_circuit_within(K4, path) is None
 
 
+def test_circuit_search_on_an_independent_set_makes_one_call_per_element():
+    # a spanning tree of K_16 is independent, so the search returns None after
+    # its independence test instead of scanning 2^15 - 1 subsets
+    K16 = build_graphic_matroid(GraphSpec(16))
+    calls = []
+
+    def counted(x, F):
+        calls.append(x)
+        return K16.oracle.member(x, F)
+
+    M = MatroidInstance(K16.ground, HullOracle("counted", counted), K16.loops)
+    tree = greedy_basis(K16)
+    assert len(tree) == 15
+    assert find_circuit_within(M, tree) is None
+    assert len(calls) == 15
+
+
 def test_three_nonzero_vectors_of_f2_d2_form_a_circuit():
     nonzero = tuple(x for x in F2_D2.ground.elements if x not in F2_D2.loops)
     assert find_circuit_within(F2_D2, nonzero) == nonzero

@@ -1,9 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from hullcover.core import Budget, InputError, check_exchange, closure, is_independent
+from hullcover.core import (
+    Budget,
+    InputError,
+    check_exchange,
+    closure,
+    greedy_basis,
+    is_independent,
+)
 from hullcover.groups import FiniteAbelianGroup
 from hullcover.zoo import (
     GraphSpec,
@@ -268,3 +276,80 @@ def test_closure_ignores_window_only_as_materialization_bound():
             assert small.oracle.member(small.index_of(x), sF) == large.oracle.member(
                 large.index_of(x), lF
             )
+
+
+# --- prepared spans ------------------------------------------------------------
+
+SPAN_SPECS = [
+    {"kind": "vector_fp", "p": 2, "dim": 3},
+    {"kind": "vector_fp", "p": 3, "vectors": [[1, 2, 0], [2, 1, 0], [0, 1, 1], [1, 0, 2], [0, 0, 0]]},
+    {"kind": "vector_q", "vectors": [["1/2", 1, 0], [1, 2, 0], [0, 1, "-3"], [1, 3, -3], [2, 0, 1]]},
+    {"kind": "graphic", "complete": 5},
+    {"kind": "abelian", "orders": [2, 4]},
+    {"kind": "integer_subgroup", "window": 6},
+    {"kind": "integer_linear", "window": 4},
+]
+
+
+@pytest.mark.parametrize("spec", SPAN_SPECS, ids=lambda s: s["kind"])
+def test_prepared_spans_never_answer_stale(spec):
+    # one instance answers a seeded interleaving of repeated, replaced and
+    # mutated-in-place F; a freshly built instance answers each query once
+    rng = random.Random(5)
+    M = matroid_from_spec(spec)
+    n = M.ground.size
+    F = set()
+    for _ in range(120):
+        step = rng.random()
+        if step < 0.4:
+            F.symmetric_difference_update({rng.randrange(n)})  # same object, new contents
+        elif step < 0.6:
+            F = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        query = F if rng.random() < 0.5 else frozenset(F)
+        for x in rng.sample(range(n), min(n, 3)):
+            expected = matroid_from_spec(spec).oracle.member(x, frozenset(F))
+            assert M.oracle.member(x, query) == expected, (x, sorted(F))
+
+
+# --- differential checks against independent implementations ---------------------
+
+
+def test_graphic_closure_and_rank_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        M = build_graphic_matroid(GraphSpec(n, tuple(edges)))
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(edges)
+        assert len(greedy_basis(M)) == n - nx.number_connected_components(G)
+
+        F = [i for i in range(len(edges)) if rng.random() < 0.5]
+        H = nx.Graph()
+        H.add_nodes_from(range(n))
+        H.add_edges_from(edges[i] for i in F)
+        component = {v: c for c, part in enumerate(nx.connected_components(H)) for v in part}
+        expected = {i for i, (u, v) in enumerate(edges) if component[u] == component[v]}
+        assert closure(M, F) == expected
+
+
+def test_rational_rank_and_span_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4)
+    for _ in range(15):
+        d = rng.randint(1, 4)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        M = build_vector_matroid(VectorMatroidSpec("q", vectors=tuple(map(tuple, rows))))
+
+        def rank(indices):
+            return sympy.Matrix([rows[i] for i in indices]).rank() if indices else 0
+
+        assert len(greedy_basis(M)) == rank(range(len(rows)))
+        F = list(range(0, len(rows), 2))
+        expected = {x for x in range(len(rows)) if rank(F + [x]) == rank(F)}
+        assert closure(M, F) == expected
