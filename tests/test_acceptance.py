@@ -14,6 +14,7 @@ import itertools
 import json
 import time
 from math import comb
+from pathlib import Path
 
 from hullcover import cli
 from hullcover.core import (
@@ -300,14 +301,23 @@ GOLDEN = [
 ]
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_argv(tmp_path, i):
+    template, spec = GOLDEN[i]
+    args = list(template)
+    if spec is not None:
+        spec_path = tmp_path / f"spec{i}.json"
+        spec_path.write_text(json.dumps(spec))
+        args.insert(1, str(spec_path))
+    return args
+
+
 def test_criterion_8_cli_determinism(tmp_path):
     problems = []
     for i, (template, spec) in enumerate(GOLDEN):
-        args = list(template)
-        if spec is not None:
-            spec_path = tmp_path / f"spec{i}.json"
-            spec_path.write_text(json.dumps(spec))
-            args.insert(1, str(spec_path))
+        args = golden_argv(tmp_path, i)
         first, second, rerun = (tmp_path / f"{i}{n}.json" for n in "abc")
         code = cli.main(args + ["--out", str(first)])
         if code not in (0, 3):
@@ -320,3 +330,31 @@ def test_criterion_8_cli_determinism(tmp_path):
         if first.read_bytes() != rerun.read_bytes():
             problems.append(f"golden {template}: manifest re-run differs")
     _report(8, "CLI determinism", problems, f"{len(GOLDEN)} golden runs")
+
+
+def golden_path(i):
+    return GOLDEN_DIR / f"{i:02d}-{GOLDEN[i][0][0]}.json"
+
+
+def golden_document(tmp_path, i):
+    """The document of ``GOLDEN[i]`` without ``manifest.versions``, serialized as the CLI does."""
+    out = tmp_path / f"golden{i}.json"
+    cli.main(golden_argv(tmp_path, i) + ["--out", str(out)])
+    document = json.loads(out.read_text())
+    del document["manifest"]["versions"]
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_golden_documents_match(tmp_path):
+    """Every ``GOLDEN`` invocation reproduces its committed document in ``tests/golden/``.
+
+    ``manifest.versions`` is dropped on both sides, since it names the
+    interpreter's version.  After an intended output change, regenerate the
+    files from the repository root with
+
+        PYTHONPATH=src:tests python -c "import pathlib, tempfile, test_acceptance as t; \\
+            [t.golden_path(i).write_text(t.golden_document(pathlib.Path(tempfile.mkdtemp()), i)) \\
+             for i in range(len(t.GOLDEN))]"
+    """
+    for i, (template, _) in enumerate(GOLDEN):
+        assert golden_document(tmp_path, i) == golden_path(i).read_text(), template
