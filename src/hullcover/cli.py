@@ -90,6 +90,21 @@ def _require(mapping, keys, what):
     return mapping
 
 
+def _int(value, what):
+    """``value`` cast to an int; raise InputError when it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what}: expected an integer, got {value!r}") from None
+
+
+def _ints(values, what, depth=1):
+    """A JSON list of integers, or of such lists when ``depth`` is 2, cast through ``_int``."""
+    if not isinstance(values, list):
+        raise InputError(f"{what}: expected a list, got {values!r}")
+    return [_ints(v, what, depth - 1) if depth > 1 else _int(v, what) for v in values]
+
+
 def _resolve_coloring(mapping, seed):
     resolved = dict(_require(mapping, (), "coloring"))
     if "table" in resolved:
@@ -102,14 +117,14 @@ def _resolve_coloring(mapping, seed):
 
 def _coloring_from_dict(mapping):
     _require(mapping, (), "coloring")
-    ncolors = int(mapping.get("colors", 1))
+    ncolors = _int(mapping.get("colors", 1), "colors")
     if "table" in mapping:
-        return ProductColoring.from_table(mapping["table"], ncolors)
+        return ProductColoring.from_table(_ints(mapping["table"], "coloring table", 2), ncolors)
     _require(mapping, ("x_size", "y_size"), "coloring without a table")
-    nx, ny = int(mapping["x_size"]), int(mapping["y_size"])
+    nx, ny = _int(mapping["x_size"], "x_size"), _int(mapping["y_size"], "y_size")
     formula = mapping.get("formula", "constant")
     if formula == "constant":
-        return ProductColoring.constant(nx, ny, ncolors, int(mapping.get("value", 0)))
+        return ProductColoring.constant(nx, ny, ncolors, _int(mapping.get("value", 0), "value"))
     if formula == "mod":
         return ProductColoring.mod(nx, ny, ncolors)
     if formula == "seeded-uniform":
@@ -119,11 +134,11 @@ def _coloring_from_dict(mapping):
 
 def _group_from_dict(mapping):
     if "cyclic" in _require(mapping, (), "group"):
-        return cyclic_group(int(mapping["cyclic"]))
+        return cyclic_group(_int(mapping["cyclic"], "cyclic"))
     if "orders" in mapping:
-        return group_from_abelian(FiniteAbelianGroup(tuple(mapping["orders"])))
+        return group_from_abelian(FiniteAbelianGroup(tuple(_ints(mapping["orders"], "orders"))))
     if "table" in mapping:
-        return table_group(mapping["table"])
+        return table_group(_ints(mapping["table"], "group table", 2))
     raise InputError("group descriptor needs one of: cyclic, orders, table")
 
 
@@ -133,7 +148,8 @@ def _group_from_dict(mapping):
 
 def _run_partition(params):
     M = matroid_from_spec(params["spec"])
-    P = layered_partition(M, params.get("basis"))
+    basis = params.get("basis")
+    P = layered_partition(M, None if basis is None else _ints(basis, "basis"))
     report = verify_partition(M, P)
     dec = P.decomposition
     payload = {
@@ -203,7 +219,7 @@ def _run_check_axioms(params):
 
 def _run_rectangle(params):
     coloring = _coloring_from_dict(params["coloring"])
-    lam = int(params["size"])
+    lam = _int(params["size"], "size")
     rect = monochrome_rectangle(coloring, lam)
     payload = {
         "x_size": coloring.nx,
@@ -222,12 +238,13 @@ def _run_rectangle(params):
 def _run_quad(params):
     group = _group_from_dict(params["group"])
     descriptor = _require(params["coloring"], ("colors",), "coloring")
+    ncolors = _int(descriptor["colors"], "colors")
     chi = group_coloring(group, descriptor)
-    cert = dependent_monochrome_quad(group, chi, int(descriptor["colors"]))
+    cert = dependent_monochrome_quad(group, chi, ncolors)
     payload = {
         "group": group.descriptor,
-        "colors": int(descriptor["colors"]),
-        "thresholds": quad_thresholds(int(descriptor["colors"])),
+        "colors": ncolors,
+        "thresholds": quad_thresholds(ncolors),
         "a": cert.a,
         "b": cert.b,
         "x": cert.x,
@@ -250,9 +267,10 @@ def _run_quad(params):
 
 
 def _run_prefix_color(params):
-    coloring = prefix_coloring(int(params["k"]), int(params.get("limit", 12)))
+    k = _int(params["k"], "k")
+    coloring = prefix_coloring(k, _int(params.get("limit", 12), "limit"))
     payload = {
-        "k": int(params["k"]),
+        "k": k,
         "vertices": coloring.n,
         "colors": coloring.ncolors,
         "edges": [[u, v, c] for u, v, c in coloring.edges()],
@@ -274,12 +292,12 @@ def _run_prefix_color(params):
 
 
 def _run_group(params):
-    G = FiniteAbelianGroup(tuple(params["orders"]))
+    G = FiniteAbelianGroup(tuple(_ints(params["orders"], "orders")))
     op = params["op"]
     if op == "torsion":
         if params.get("n") is None:
             raise InputError("group torsion needs --n")
-        n = int(params["n"])
+        n = _int(params["n"], "n")
         elems = sorted(n_torsion(G, n))
         payload = {"orders": list(G.orders), "n": n, "elements": [list(e) for e in elems]}
         return "torsion", payload, {"subgroup_size": len(elems)}, EXIT_OK
@@ -296,7 +314,7 @@ def _run_group(params):
     if op == "independence":
         if not params.get("elements"):
             raise InputError("group independence needs --elements")
-        elems = [G.element(tuple(e)) for e in params["elements"]]
+        elems = [G.element(tuple(e)) for e in _ints(params["elements"], "elements", 2)]
         independent = is_linearly_independent(G, elems)
         M = build_abelian_linear_matroid(G)
         hull_independent = is_independent(M, [M.index_of(e) for e in elems])
@@ -311,32 +329,11 @@ def _run_group(params):
     raise InputError(f"unknown group operation {op!r}")
 
 
-_RUNNERS = {
-    "partition": _run_partition,
-    "check-axioms": _run_check_axioms,
-    "rectangle": _run_rectangle,
-    "quad": _run_quad,
-    "prefix-color": _run_prefix_color,
-    "group": _run_group,
-}
-
-
-# the parameters each runner reads without a default; the objects among them
-# (budget, coloring) are checked where their runner reads them
-_REQUIRED = {
-    "partition": ("spec",),
-    "check-axioms": ("spec", "budget"),
-    "rectangle": ("coloring", "size"),
-    "quad": ("group", "coloring"),
-    "prefix-color": ("k",),
-    "group": ("op", "orders"),
-}
-
-
 def _execute(subcommand, params, seed, out_path):
-    _require(params, _REQUIRED[subcommand], "parameters")
+    runner, required, _ = _SUBCOMMANDS[subcommand]
+    _require(params, required, "parameters")
     started = time.perf_counter()
-    key, payload, verdicts, code = _RUNNERS[subcommand](params)
+    key, payload, verdicts, code = runner(params)
     elapsed = time.perf_counter() - started
     manifest = {
         "subcommand": subcommand,
@@ -355,15 +352,57 @@ def _execute(subcommand, params, seed, out_path):
     return code
 
 
-def _parse_int_list(text):
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
+def _parse_int_list(text, what):
+    return [_int(part, what) for part in str(text).split(",") if part.strip() != ""]
 
 
 def _parse_elements(text):
-    return [_parse_int_list(chunk) for chunk in str(text).split(";") if chunk.strip()]
+    return [_parse_int_list(chunk, "elements") for chunk in str(text).split(";") if chunk.strip()]
+
+
+def _check_axioms_params(a):
+    budget = Budget.parse(a.budget, seed=a.seed)
+    fields = ("mode", "max_subset_size", "seed", "count")
+    return {"spec": _load_json(a.spec), "budget": {f: getattr(budget, f) for f in fields}}
+
+
+# subcommand: (runner, the parameters it reads without a default, parsed
+# arguments -> parameters); the objects among the parameters (budget,
+# coloring) are checked where their runner reads them
+_SUBCOMMANDS = {
+    "partition": (_run_partition, ("spec",), lambda a: {
+        "spec": _load_json(a.spec),
+        "basis": _parse_int_list(a.basis, "basis") if a.basis else None,
+    }),
+    "check-axioms": (_run_check_axioms, ("spec", "budget"), _check_axioms_params),
+    "rectangle": (_run_rectangle, ("coloring", "size"), lambda a: {
+        "coloring": _resolve_coloring(_load_json(a.coloring), a.seed),
+        "size": a.size,
+    }),
+    "quad": (_run_quad, ("group", "coloring"), lambda a: {
+        "group": _load_json(a.group),
+        "coloring": _resolve_coloring({"formula": a.formula, "colors": a.colors}, a.seed),
+    }),
+    "prefix-color": (_run_prefix_color, ("k",), lambda a: {"k": a.k, "verify": a.verify, "limit": a.limit}),
+    "group": (_run_group, ("op", "orders"), lambda a: {
+        "op": a.op,
+        "orders": _parse_int_list(a.orders, "orders"),
+        "n": a.n,
+        "elements": _parse_elements(a.elements) if a.elements else None,
+    }),
+}
+
+
+def _from_manifest(source):
+    """``(subcommand, parameters, seed)`` from the manifest inside an output document."""
+    document = _load_json(source)
+    manifest = document.get("manifest", document) if isinstance(document, dict) else None
+    if not isinstance(manifest, dict):
+        raise InputError(f"{source}: expected a JSON object holding a manifest")
+    subcommand = _require(manifest, ("subcommand", "parameters"), "manifest")["subcommand"]
+    if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
+        raise InputError(f"manifest names unknown subcommand {subcommand!r}")
+    return subcommand, manifest["parameters"], manifest.get("seed")
 
 
 def _build_parser():
@@ -421,61 +460,12 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "partition":
-            params = {
-                "spec": _load_json(args.spec),
-                "basis": _parse_int_list(args.basis) if args.basis else None,
-            }
-            return _execute("partition", params, None, args.out)
-        if args.command == "check-axioms":
-            budget = Budget.parse(args.budget, seed=args.seed)
-            params = {
-                "spec": _load_json(args.spec),
-                "budget": {
-                    "mode": budget.mode,
-                    "max_subset_size": budget.max_subset_size,
-                    "seed": budget.seed,
-                    "count": budget.count,
-                },
-            }
-            return _execute("check-axioms", params, args.seed, args.out)
-        if args.command == "rectangle":
-            params = {
-                "coloring": _resolve_coloring(_load_json(args.coloring), args.seed),
-                "size": args.size,
-            }
-            return _execute("rectangle", params, args.seed, args.out)
-        if args.command == "quad":
-            descriptor = _resolve_coloring(
-                {"formula": args.formula, "colors": args.colors}, args.seed
-            )
-            params = {"group": _load_json(args.group), "coloring": descriptor}
-            return _execute("quad", params, args.seed, args.out)
-        if args.command == "prefix-color":
-            params = {"k": args.k, "verify": bool(args.verify), "limit": args.limit}
-            return _execute("prefix-color", params, None, args.out)
-        if args.command == "group":
-            params = {
-                "op": args.op,
-                "orders": _parse_int_list(args.orders),
-                "n": args.n,
-                "elements": _parse_elements(args.elements) if args.elements else None,
-            }
-            return _execute("group", params, None, args.out)
         if args.command == "rerun":
-            document = _load_json(args.source)
-            manifest = document.get("manifest", document) if isinstance(document, dict) else None
-            if not isinstance(manifest, dict):
-                raise InputError(f"{args.source}: expected a JSON object holding a manifest")
-            for field in ("subcommand", "parameters"):
-                if field not in manifest:
-                    raise InputError(f"manifest is missing {field!r}")
-            if manifest["subcommand"] not in _RUNNERS:
-                raise InputError(f"manifest names unknown subcommand {manifest['subcommand']!r}")
-            return _execute(
-                manifest["subcommand"], manifest["parameters"], manifest.get("seed"), args.out
-            )
-        raise InputError(f"unknown command {args.command!r}")
+            subcommand, params, seed = _from_manifest(args.source)
+        else:
+            subcommand, seed = args.command, getattr(args, "seed", None)
+            params = _SUBCOMMANDS[subcommand][2](args)
+        return _execute(subcommand, params, seed, args.out)
     except (InputError, PremiseError, BudgetError) as exc:
         print(f"hullcover: error: {exc}", file=sys.stderr)
         return EXIT_PREMISE

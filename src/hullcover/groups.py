@@ -4,7 +4,8 @@ Elements are residue tuples added componentwise.  The module provides the
 two hulls that matter here, the generated subgroup <B> and the division
 hull [B] (everything with a nonzero multiple inside <B>), plus n-torsion,
 primary decomposition and linear-independence testing, all by exact integer
-arithmetic.
+arithmetic.  ``division_test`` is the one [B] predicate: ``linear_hull``
+and the ``abelian`` oracle of ``hullcover.zoo`` both call it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
+from typing import Callable
 
 from .core import InputError, InternalInconsistencyError
 
@@ -69,6 +71,13 @@ class FiniteAbelianGroup:
     @cached_property
     def elements(self) -> tuple:
         return tuple(itertools.product(*(range(n) for n in self.orders)))
+
+    @cached_property
+    def multiples(self) -> tuple:
+        """``multiples[i]``: n * elements[i] for n = 1, ..., exponent."""
+        return tuple(
+            tuple(self.scalar(n, e) for n in range(1, self.exponent + 1)) for e in self.elements
+        )
 
     @cached_property
     def _element_index(self) -> dict:
@@ -130,26 +139,22 @@ def subgroup_closure(G: FiniteAbelianGroup, B) -> frozenset:
     return frozenset(seen)
 
 
-def linear_hull(G: FiniteAbelianGroup, B) -> frozenset:
-    """[B]: zero plus every x some multiple n*x of which lands in <B> minus zero.
+def division_test(G: FiniteAbelianGroup, subgroup) -> Callable[[int], bool]:
+    """The test ``i -> G.elements[i] in [B]``, given the subgroup <B>.
 
-    Multiples n*x repeat with period order(x), so scanning n up to the group
-    exponent decides the existential exactly.
+    [B] is zero (index 0) plus every x some multiple n*x of which lands in
+    <B> minus zero.  Multiples n*x repeat with period order(x), so scanning
+    n up to the group exponent decides the existential exactly.
     """
-    core = subgroup_closure(G, B) - {G.zero}
-    hull = {G.zero}
-    if not core:
-        return frozenset(hull)
-    for x in G.elements:
-        if x == G.zero:
-            continue
-        m = x
-        for _ in range(G.exponent):
-            if m in core:
-                hull.add(x)
-                break
-            m = G.add(m, x)
-    return frozenset(hull)
+    core = subgroup - {G.zero}
+    multiples = G.multiples
+    return lambda i: i == 0 or not core.isdisjoint(multiples[i])
+
+
+def linear_hull(G: FiniteAbelianGroup, B) -> frozenset:
+    """[B], the division hull: every element that ``division_test`` of <B> accepts."""
+    test = division_test(G, subgroup_closure(G, B))
+    return frozenset(x for i, x in enumerate(G.elements) if test(i))
 
 
 def n_torsion(G: FiniteAbelianGroup, n: int) -> frozenset:
@@ -202,19 +207,22 @@ def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     return TorsionReport(G, components, verified)
 
 
-def is_linearly_independent(G: FiniteAbelianGroup, A, direct_limit=6) -> bool:
+_DIRECT_LIMIT = 6
+
+
+def is_linearly_independent(G: FiniteAbelianGroup, A) -> bool:
     """True iff the only way to combine distinct elements of A to zero is termwise zero.
 
     Coefficients for a are searched over 0..order(a)-1, which is complete
     because k*a only depends on k modulo order(a).  Sets containing zero are
-    dependent by convention.  Above ``direct_limit`` elements the exhaustive
+    dependent by convention.  Above ``_DIRECT_LIMIT`` elements the exhaustive
     tuple scan is replaced by the hull route: a is redundant iff it lies in
     the division hull of the others.
     """
     elems = sorted({G.element(a) for a in A})
     if G.zero in elems:
         return False
-    if len(elems) <= direct_limit:
+    if len(elems) <= _DIRECT_LIMIT:
         multiples = []
         for a in elems:
             row = []

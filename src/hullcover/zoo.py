@@ -7,10 +7,11 @@ and the two hulls on a window of the integers: the subgroup hull, which is
 not a matroid, and the division hull, which is.
 
 Every backend has one shape: ``span(F)`` prepares F once (an elimination, a
-union-find, a gcd or nonzero flag, a lookup in the abelian ``hull_memo``,
-which is unbounded) and returns the test ``x in <F>``.  ``_member`` turns it
-into the oracle's ``member(x, F)`` and reuses the last prepared span while
-consecutive calls pass an equal F, as ``closure`` does.
+union-find, a gcd or nonzero flag, or the abelian ``hull_memo``, which keeps
+the ``groups.division_test`` of each F seen and is unbounded) and returns
+the test ``x in <F>``.  ``_member`` turns it into the oracle's
+``member(x, F)`` and reuses the last prepared span while consecutive calls
+pass an equal F, as ``closure`` does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import GroundSet, HullOracle, InputError, MatroidInstance
-from .groups import FiniteAbelianGroup, _prime_factors, is_prime, subgroup_closure
+from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         p = spec.p
         if not is_prime(p):
             raise InputError(f"field size must be prime, got {p}")
+        if spec.dim < 0:
+            raise InputError(f"dim must be >= 0, got {spec.dim}")
         if spec.dim:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
@@ -187,8 +190,8 @@ def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
 
 
 def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
-    """Division-hull oracle on all of G: x is in [F] iff x = 0 or some
-    multiple n*x with n up to the exponent lands in <F> minus zero.
+    """Division-hull oracle on all of G: ``groups.division_test`` of <F>,
+    memoized per F, so ``subgroup_closure`` runs once for each new F.
 
     Instances are matroid-flagged only when the hull is genuinely
     idempotent (see ``_division_hull_is_matroid``); on other groups the
@@ -197,22 +200,13 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
     closures can grow.
     """
     elems = G.elements
-    multiples = []
-    for e in elems:
-        m = e
-        row = []
-        for _ in range(G.exponent):
-            row.append(m)
-            m = G.add(m, e)
-        multiples.append(tuple(row))
     hull_memo: dict = {}
 
     def span(F):
-        core = hull_memo.get(F)
-        if core is None:
-            core = subgroup_closure(G, [elems[i] for i in F]) - {G.zero}
-            hull_memo[F] = core
-        return lambda x: elems[x] == G.zero or any(m in core for m in multiples[x])
+        test = hull_memo.get(F)
+        if test is None:
+            test = hull_memo[F] = division_test(G, subgroup_closure(G, [elems[i] for i in F]))
+        return test
 
     labels = [G.label(e) for e in elems]
     oracle = HullOracle("abelian", _member(span))
@@ -280,7 +274,8 @@ def matroid_from_spec(mapping) -> MatroidInstance:
         edges = _rows(mapping, "edges", int)
         return build_graphic_matroid(GraphSpec(n, edges))
     if kind == "abelian":
-        return build_abelian_linear_matroid(FiniteAbelianGroup(tuple(_field(mapping, "orders", list))))
+        orders = _field(mapping, "orders", lambda orders: tuple(int(n) for n in orders))
+        return build_abelian_linear_matroid(FiniteAbelianGroup(orders))
     if kind in ("integer_subgroup", "integer_linear"):
         return build_integer_hull(
             IntegerHullSpec(_field(mapping, "window", int), kind.split("_")[1])

@@ -231,6 +231,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [2]]},
         {"kind": "graphic", "vertices": 3, "edges": [[0, "y"]]},
         {"kind": "graphic", "vertices": 3, "edges": [4]},
+        {"kind": "abelian", "orders": [2, "z"]},
+        {"kind": "vector_fp", "p": 2, "dim": -1},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -255,6 +257,17 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"subcommand": "partition", "parameters": [1, 2]},
         {"subcommand": "group", "parameters": {"op": "torsion", "orders": [4], "n": None}},
         {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {}}},
+        {"subcommand": "prefix-color", "parameters": {"k": "x"}},
+        {"subcommand": "prefix-color", "parameters": {"k": 2, "limit": [1]}},
+        {"subcommand": "rectangle", "parameters": {"coloring": {"x_size": 3, "y_size": 6}, "size": "z"}},
+        {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {"colors": "c"}}},
+        {"subcommand": "group", "parameters": {"op": "torsion", "orders": [4], "n": "q"}},
+        {"subcommand": "group", "parameters": {"op": "decompose", "orders": "4x"}},
+        {"subcommand": "group", "parameters": {"op": "decompose", "orders": 5}},
+        {"subcommand": "group", "parameters": {"op": "independence", "orders": [4], "elements": [["a"]]}},
+        {"subcommand": "group", "parameters": {"op": "independence", "orders": [4], "elements": [1]}},
+        {"subcommand": "partition", "parameters": {"spec": {"kind": "graphic", "complete": 3}, "basis": 5}},
+        {"subcommand": ["partition"], "parameters": {}},
     ] + [
         {**manifest, "parameters": {**manifest["parameters"], "budget": bad}}
         for bad in (
@@ -267,14 +280,26 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     for i, bad in enumerate(manifests):
         path = write_json(tmp_path / f"manifest{i}.json", {"manifest": bad})
         assert run(["rerun", path, "--out", tmp_path / "r.json"]) == 2, bad
-    # coloring files without sizes, or not an object
-    for coloring in ({"y_size": 10, "colors": 2, "formula": "mod"}, {"x_size": 3}, [[0, 1]]):
+    # coloring files without sizes, not an object, or with mistyped values
+    colorings = [
+        {"y_size": 10, "colors": 2, "formula": "mod"},
+        {"x_size": 3},
+        [[0, 1]],
+        {"x_size": "a", "y_size": 6, "colors": 2, "formula": "mod"},
+        {"x_size": 3, "y_size": 6, "colors": "two", "formula": "mod"},
+        {"x_size": 3, "y_size": 6, "formula": "constant", "value": "v"},
+        {"colors": 2, "table": [[0, 1], [1, "a"]]},
+    ]
+    for coloring in colorings:
         path = write_json(tmp_path / "coloring.json", coloring)
         assert run(["rectangle", path, "--size", "2", "--out", tmp_path / "c.json"]) == 2, coloring
-    group = write_json(tmp_path / "group.json", 5)
-    assert run(["quad", group, "--colors", "1", "--out", tmp_path / "q.json"]) == 2
+    groups = [5, {"cyclic": "q"}, {"orders": [2, "z"]}, {"table": [[0, 1], [1, "a"]]}]
+    for group in groups:
+        path = write_json(tmp_path / "group.json", group)
+        assert run(["quad", path, "--colors", "1", "--out", tmp_path / "q.json"]) == 2, group
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert len(errors) == 3 + len(bad_specs) + 6 + 2 + len(manifests) + 3 + 1
+    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups)
+    assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
 
 

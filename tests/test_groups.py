@@ -91,6 +91,24 @@ def test_linear_hull_contains_subgroup_closure():
                 assert subgroup_closure(G, B) <= linear_hull(G, B)
 
 
+def test_one_division_hull_matches_its_definition():
+    # x is in [B] iff x = 0 or n*x lies in <B> minus zero for some 1 <= n <= order(x)
+    for G in invariant_factor_groups(16):
+        member = build_abelian_linear_matroid(G).oracle.member
+        for size in range(3):
+            for F in itertools.combinations(range(G.order), size):
+                B = [G.elements[i] for i in F]
+                core = subgroup_closure(G, B) - {G.zero}
+                brute = {
+                    i
+                    for i, x in enumerate(G.elements)
+                    if x == G.zero
+                    or any(G.scalar(n, x) in core for n in range(1, G.element_order(x) + 1))
+                }
+                assert linear_hull(G, B) == {G.elements[i] for i in brute}, (G.orders, B)
+                assert {i for i in range(G.order) if member(i, frozenset(F))} == brute, (G.orders, B)
+
+
 # --- torsion ---------------------------------------------------------------------
 
 
