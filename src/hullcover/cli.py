@@ -27,6 +27,7 @@ from .core import (
     InputError,
     InternalInconsistencyError,
     PremiseError,
+    _int,
     check_exchange,
     check_hull_axioms,
     check_idempotent,
@@ -88,14 +89,6 @@ def _require(mapping, keys, what):
     if missing:
         raise InputError(f"{what} is missing {', '.join(map(repr, missing))}")
     return mapping
-
-
-def _int(value, what):
-    """``value`` cast to an int; raise InputError when it is not one."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what}: expected an integer, got {value!r}") from None
 
 
 def _ints(values, what, depth=1):
@@ -281,7 +274,7 @@ def _run_prefix_color(params):
         report = verify_no_monochrome_odd_cycle(coloring)
         payload["odd_cycle_check"] = {
             "ok": report.ok,
-            "failures": [{"color": c, "cycle": list(cycle)} for c, cycle in report.odd_cycles],
+            "failures": [{"color": c, "cycle": list(cycle)} for c, cycle in report.cycles],
         }
         verdicts["no_monochrome_odd_cycle"] = report.ok
         if not report.ok:

@@ -37,6 +37,20 @@ class InputError(ValueError):
         self.circuit = circuit
 
 
+def _int(value, what):
+    """``value`` as an int: an integer, an integer string or an integral float.
+
+    Raise InputError for anything else, including a value ``int`` would truncate.
+    """
+    try:
+        cast = int(value)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if cast is None or cast != value and not isinstance(value, str):
+        raise InputError(f"{what}: expected an integer, got {value!r}")
+    return cast
+
+
 class PremiseError(ValueError):
     """A finite feasibility premise is not met; carries the derived thresholds."""
 

@@ -6,6 +6,10 @@ size, any coloring of a large enough finite group admits a dependent
 monochrome quadruple {ax, bx, ay, by}, and the first-differing-bit coloring
 of a complete graph on bit strings has no monochrome odd cycle while color
 classes between vertex halves yield monochrome even cycles.
+
+The edge-coloring verifiers (classes bipartite, classes forests) make one
+pass over the edges and one breadth-first search per class; each failing
+class carries the first cycle its search closes.
 """
 
 from __future__ import annotations
@@ -431,25 +435,9 @@ def prefix_coloring(k: int, limit: int = 12) -> EdgeColoring:
 
 
 @dataclass(frozen=True)
-class OddCycleReport:
+class CycleReport:
     ok: bool
-    odd_cycles: tuple  # (color, vertex sequence) per failing color
-
-
-@dataclass(frozen=True)
-class ForestReport:
-    ok: bool
-    cycles: tuple  # (color, vertex sequence) per failing color
-
-
-def _class_adjacency(coloring: EdgeColoring, color):
-    adj = defaultdict(list)
-    for u, v in coloring.class_edges(color):
-        adj[u].append(v)
-        adj[v].append(u)
-    for u in adj:
-        adj[u].sort()
-    return adj
+    cycles: tuple  # (color, vertex sequence) per failing color, in color order
 
 
 def _path_to_root(parent, u):
@@ -467,7 +455,12 @@ def _cycle_from_conflict(parent, u, v):
     return tuple(pu + pv[-2::-1])
 
 
-def _find_odd_cycle(adj):
+def _first_cycle(adj, odd):
+    """First cycle closed by a breadth-first forest grown from each root in order.
+
+    With ``odd`` only an edge between vertices of equal depth parity closes
+    one, so the cycle is odd; otherwise any non-tree edge does.
+    """
     parity: dict = {}
     parent: dict = {}
     for root in sorted(adj):
@@ -483,57 +476,30 @@ def _find_odd_cycle(adj):
                     parity[v] = parity[u] ^ 1
                     parent[v] = u
                     queue.append(v)
-                elif parity[v] == parity[u]:
+                elif parity[v] == parity[u] if odd else v != parent[u]:
                     return _cycle_from_conflict(parent, u, v)
     return None
 
 
-def verify_no_monochrome_odd_cycle(coloring: EdgeColoring) -> OddCycleReport:
+def _class_cycles(coloring: EdgeColoring, odd) -> CycleReport:
+    # one pass fills every class; pairs come in order, so neighbor lists ascend
+    adj = defaultdict(lambda: defaultdict(list))
+    for u, v, c in coloring.edges():
+        adj[c][u].append(v)
+        adj[c][v].append(u)
+    cycles = ((color, _first_cycle(adj[color], odd)) for color in range(coloring.ncolors))
+    failures = tuple((color, cycle) for color, cycle in cycles if cycle is not None)
+    return CycleReport(not failures, failures)
+
+
+def verify_no_monochrome_odd_cycle(coloring: EdgeColoring) -> CycleReport:
     """Check every color class is bipartite; failures carry an explicit odd cycle."""
-    failures = []
-    for color in range(coloring.ncolors):
-        cycle = _find_odd_cycle(_class_adjacency(coloring, color))
-        if cycle is not None:
-            failures.append((color, cycle))
-    return OddCycleReport(not failures, tuple(failures))
+    return _class_cycles(coloring, odd=True)
 
 
-def _find_any_cycle(edges):
-    # grow a forest edge by edge; the first edge joining two already
-    # connected vertices closes a cycle recovered by a path search
-    adj = defaultdict(list)
-    for u, v in edges:
-        if u in adj and v in adj:
-            parent = {u: None}
-            queue = deque([u])
-            while queue:
-                w = queue.popleft()
-                if w == v:
-                    break
-                for t in adj[w]:
-                    if t not in parent:
-                        parent[t] = w
-                        queue.append(t)
-            if v in parent:
-                path = [v]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return tuple(reversed(path))
-        adj[u].append(v)
-        adj[v].append(u)
-        adj[u].sort()
-        adj[v].sort()
-    return None
-
-
-def verify_forest_classes(coloring: EdgeColoring) -> ForestReport:
+def verify_forest_classes(coloring: EdgeColoring) -> CycleReport:
     """Check every color class is acyclic; failures carry an explicit cycle."""
-    failures = []
-    for color in range(coloring.ncolors):
-        cycle = _find_any_cycle(coloring.class_edges(color))
-        if cycle is not None:
-            failures.append((color, cycle))
-    return ForestReport(not failures, tuple(failures))
+    return _class_cycles(coloring, odd=False)
 
 
 def monochrome_bipartite(coloring: EdgeColoring, lam) -> Rectangle:

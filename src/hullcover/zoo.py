@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import GroundSet, HullOracle, InputError, MatroidInstance
+from .core import GroundSet, HullOracle, InputError, MatroidInstance, _int
 from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
 
@@ -259,44 +259,46 @@ def matroid_from_spec(mapping) -> MatroidInstance:
         raise InputError(f"matroid spec must be a mapping, got {type(mapping).__name__}")
     kind = mapping.get("kind")
     if kind == "vector_fp":
-        p = _field(mapping, "p", int)
+        p = _field(mapping, "p")
         if "dim" in mapping:
-            return build_vector_matroid(VectorMatroidSpec("fp", p=p, dim=_field(mapping, "dim", int)))
-        vectors = _rows(mapping, "vectors", int)
+            return build_vector_matroid(VectorMatroidSpec("fp", p=p, dim=_field(mapping, "dim")))
+        vectors = _rows(mapping, "vectors", _int)
         return build_vector_matroid(VectorMatroidSpec("fp", p=p, vectors=vectors))
     if kind == "vector_q":
-        vectors = _rows(mapping, "vectors", parse_rational)
+        vectors = _rows(mapping, "vectors", lambda c, what: parse_rational(c))
         return build_vector_matroid(VectorMatroidSpec("q", vectors=vectors))
     if kind == "graphic":
         if "complete" in mapping:
-            return build_graphic_matroid(GraphSpec(_field(mapping, "complete", int)))
-        n = _field(mapping, "vertices", int)
-        edges = _rows(mapping, "edges", int)
+            return build_graphic_matroid(GraphSpec(_field(mapping, "complete")))
+        n = _field(mapping, "vertices")
+        edges = _rows(mapping, "edges", _int)
         return build_graphic_matroid(GraphSpec(n, edges))
     if kind == "abelian":
-        orders = _field(mapping, "orders", lambda orders: tuple(int(n) for n in orders))
+        orders = _field(mapping, "orders", lambda orders, what: tuple(_int(n, what) for n in orders))
         return build_abelian_linear_matroid(FiniteAbelianGroup(orders))
     if kind in ("integer_subgroup", "integer_linear"):
-        return build_integer_hull(
-            IntegerHullSpec(_field(mapping, "window", int), kind.split("_")[1])
-        )
+        return build_integer_hull(IntegerHullSpec(_field(mapping, "window"), kind.split("_")[1]))
     raise InputError(
         f"unknown matroid kind {kind!r}; expected one of vector_fp, vector_q, "
         "graphic, abelian, integer_subgroup, integer_linear"
     )
 
 
-def _field(mapping, name, caster):
+def _field(mapping, name, caster=_int):
     if name not in mapping:
         raise InputError(f"matroid spec kind {mapping.get('kind')!r} is missing field {name!r}")
     try:
-        return caster(mapping[name])
+        return caster(mapping[name], f"field {name!r}")
+    except InputError:
+        raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"field {name!r}: {exc}") from None
 
 
 def _rows(mapping, name, caster):
-    return _field(mapping, name, lambda rows: tuple(tuple(caster(c) for c in row) for row in rows))
+    return _field(
+        mapping, name, lambda rows, what: tuple(tuple(caster(c, what) for c in row) for row in rows)
+    )
 
 
 def parse_rational(text) -> Fraction:

@@ -3,12 +3,14 @@
 ``bench/tracing.py`` times each layer by replacing the names through which
 one layer calls the next (``zoo.subgroup_closure``, ``cli.check_exchange``,
 ``cli.json.dumps`` and others).  A rename would leave its counters at zero
-without an error, so one traced job checks that they still count.
+without an error, so a few traced jobs check that they still count.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 import hullcover
 from hullcover import cli
@@ -16,21 +18,34 @@ from hullcover import cli
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_traced_check_axioms_job_counts_every_hooked_layer(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    matroid = tmp_path / "z2z2.json"
-    matroid.write_text(json.dumps({"kind": "abelian", "orders": [2, 2]}))
+JOBS = [
+    (
+        ["check-axioms", "SPEC"],
+        {"kind": "abelian", "orders": [2, 2]},
+        ("zoo.oracle_calls.abelian", "groups.hull_memo_misses", "core.sweep_oracle_calls.exchange"),
+    ),
+    (["prefix-color", "3", "--verify"], None, ("ramsey.odd_cycle_verify_s", "ramsey.edges")),
+]
+
+
+@pytest.mark.parametrize("argv,spec,keys", JOBS, ids=[argv[0] for argv, _, _ in JOBS])
+def test_traced_job_counts_every_hooked_layer(tmp_path, argv, spec, keys):
+    spec_loader = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec_loader)
+    spec_loader.loader.exec_module(tracing)
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [str(path) if a == "SPEC" else a for a in argv]
 
     tracer = tracing.Tracer(hullcover)
     tracer.install()
     try:
-        code = tracer.job(cli.main)(["check-axioms", str(matroid), "--out", str(tmp_path / "out.json")])
+        code = tracer.job(cli.main)([*argv, "--out", str(tmp_path / "out.json")])
     finally:
         tracer.uninstall()
 
     assert code == 0
-    for key in ("zoo.oracle_calls.abelian", "groups.hull_memo_misses", "core.sweep_oracle_calls.exchange"):
+    for key in keys:
         assert tracer.totals[key] > 0, key
     assert cli.json.dumps is json.dumps

@@ -233,6 +233,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "graphic", "vertices": 3, "edges": [4]},
         {"kind": "abelian", "orders": [2, "z"]},
         {"kind": "vector_fp", "p": 2, "dim": -1},
+        # non-integral numbers are refused, not truncated
+        {"kind": "graphic", "complete": 3.7},
+        {"kind": "vector_fp", "p": 2.9, "dim": 2},
+        {"kind": "integer_linear", "window": 5.5},
+        {"kind": "graphic", "vertices": 3, "edges": [[0, 1.5], [1, 2]]},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -252,6 +257,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     # missing or mistyped parameters in a rerun manifest
     manifest = document["manifest"]
     budget = {**manifest["parameters"]["budget"], "count": 5}
+    mod_coloring = {"x_size": 3, "y_size": 6, "colors": 2, "formula": "mod"}
     manifests = [
         {"subcommand": "partition", "parameters": {"basis": None}},
         {"subcommand": "partition", "parameters": [1, 2]},
@@ -260,6 +266,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"subcommand": "prefix-color", "parameters": {"k": "x"}},
         {"subcommand": "prefix-color", "parameters": {"k": 2, "limit": [1]}},
         {"subcommand": "rectangle", "parameters": {"coloring": {"x_size": 3, "y_size": 6}, "size": "z"}},
+        {"subcommand": "rectangle", "parameters": {"coloring": mod_coloring, "size": 2.5}},
         {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {"colors": "c"}}},
         {"subcommand": "group", "parameters": {"op": "torsion", "orders": [4], "n": "q"}},
         {"subcommand": "group", "parameters": {"op": "decompose", "orders": "4x"}},

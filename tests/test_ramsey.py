@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import comb
 
 import pytest
 
@@ -84,6 +86,11 @@ def assert_cycle_in_class(coloring, color, cycle):
     for i, u in enumerate(cycle):
         v = cycle[(i + 1) % len(cycle)]
         assert coloring.color_of(u, v) == color
+
+
+def random_coloring(seed, n, ncolors):
+    rng = random.Random(seed)
+    return EdgeColoring(n, ncolors, tuple(rng.randrange(ncolors) for _ in range(comb(n, 2))))
 
 
 # --- monochrome rectangles -----------------------------------------------------
@@ -268,9 +275,80 @@ def test_monochrome_triangle_is_caught_as_odd_cycle():
     E = EdgeColoring(3, 1, (0, 0, 0))
     report = verify_no_monochrome_odd_cycle(E)
     assert not report.ok
-    color, cycle = report.odd_cycles[0]
+    color, cycle = report.cycles[0]
     assert len(cycle) % 2 == 1
     assert_cycle_in_class(E, color, cycle)
+
+
+# (seed, n, colors) of random_coloring and its odd-cycle failures: these are
+# the witnesses prefix-color --verify embeds, so they must not drift
+PINNED_ODD_CYCLES = [
+    ((1, 6, 3), ((0, (3, 0, 5)), (1, (1, 4, 3)))),
+    ((2, 7, 4), ((2, (4, 0, 6)),)),
+    ((3, 9, 3), ((0, (3, 1, 0, 4, 2)), (2, (2, 0, 8)))),
+    ((4, 10, 4), ((0, (3, 0, 7)), (1, (5, 1, 0, 6, 4)), (2, (3, 2, 6)))),
+    ((5, 12, 2), ((0, (3, 0, 5)), (1, (1, 0, 2)))),
+    ((6, 4, 3), ()),
+    ((7, 8, 4), ((0, (4, 0, 5)), (3, (1, 7, 6)))),
+]
+
+
+@pytest.mark.parametrize("args,failures", PINNED_ODD_CYCLES)
+def test_odd_cycle_witnesses_are_pinned(args, failures):
+    report = verify_no_monochrome_odd_cycle(random_coloring(*args))
+    assert report.ok == (not failures)
+    assert report.cycles == failures
+
+
+def test_failures_are_reported_in_color_order():
+    # triangles in colors 0 and 2; color 1 is the star 0-3, 0-4, 0-5
+    colors = tuple(1 if u == 0 and v >= 3 else 0 if v < 3 else 2
+                   for u, v in itertools.combinations(range(6), 2))
+    E = EdgeColoring(6, 3, colors)
+    for verify in (verify_no_monochrome_odd_cycle, verify_forest_classes):
+        report = verify(E)
+        assert [color for color, _ in report.cycles] == [0, 2]
+        for color, cycle in report.cycles:
+            assert_cycle_in_class(E, color, cycle)
+
+
+def test_cycle_verifiers_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(200):
+        n, ncolors = rng.randint(1, 12), rng.randint(1, 10)
+        E = random_coloring(rng.randrange(10**6), n, ncolors)
+        odd = dict(verify_no_monochrome_odd_cycle(E).cycles)
+        cyclic = dict(verify_forest_classes(E).cycles)
+        for color in range(ncolors):
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from((u, v) for u, v, c in E.edges() if c == color)
+            assert (color not in odd) == nx.is_bipartite(G)
+            assert (color not in cyclic) == nx.is_forest(G)
+        for color, cycle in [*odd.items(), *cyclic.items()]:
+            assert_cycle_in_class(E, color, cycle)
+        assert all(len(cycle) % 2 == 1 for cycle in odd.values())
+
+
+def test_each_verifier_makes_one_pass_over_the_edges(monkeypatch):
+    def refuse(self, color):
+        raise AssertionError("a verifier read one color class")
+
+    passes = []
+    edges = EdgeColoring.edges
+
+    def counted(self):
+        passes.append(self)
+        return edges(self)
+
+    monkeypatch.setattr(EdgeColoring, "class_edges", refuse)
+    monkeypatch.setattr(EdgeColoring, "edges", counted)
+    E = prefix_coloring(4)
+    for verify in (verify_no_monochrome_odd_cycle, verify_forest_classes):
+        passes.clear()
+        verify(E)
+        assert len(passes) == 1
 
 
 def test_tiny_graphs_pass_cycle_checks():
