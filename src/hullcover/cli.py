@@ -103,8 +103,8 @@ def _resolve_coloring(mapping, seed):
     if "table" in resolved:
         resolved.setdefault("formula", "table")
         return resolved
-    if resolved.get("formula") == "seeded-uniform" and "seed" not in resolved:
-        resolved["seed"] = 0 if seed is None else seed
+    if resolved.get("formula") == "seeded-uniform":
+        resolved["seed"] = _int(resolved.get("seed", 0 if seed is None else seed), "seed")
     return resolved
 
 

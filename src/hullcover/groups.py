@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .core import InputError, InternalInconsistencyError
+from .core import InputError, InternalInconsistencyError, _int
 
 
 def _prime_factors(n: int) -> dict:
@@ -55,7 +55,7 @@ class FiniteAbelianGroup:
     orders: tuple
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+        orders = tuple(_int(n, "cyclic order") for n in self.orders)
         if any(n < 2 for n in orders):
             raise InputError(f"cyclic orders must all be >= 2, got {orders}")
         object.__setattr__(self, "orders", orders)
@@ -123,20 +123,20 @@ class FiniteAbelianGroup:
 
 
 def subgroup_closure(G: FiniteAbelianGroup, B) -> frozenset:
-    """The subgroup <B>: breadth-first closure of {0} under +-generators."""
-    gens = [G.element(b) for b in B]
-    seen = {G.zero}
-    frontier = [G.zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                for cand in (G.add(e, g), G.add(e, G.neg(g))):
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return frozenset(seen)
+    """The subgroup <B>, folded in one generator at a time.
+
+    With S the subgroup of the generators so far, S + <g> is the union of
+    the cosets S, S + g, S + 2g, ... up to the first multiple of g already
+    in S, so each element is reached by one addition and a generator
+    already in S adds nothing.
+    """
+    S = {G.zero}
+    for g in map(G.element, B):
+        base, shift = tuple(S), g
+        while shift not in S:
+            S.update(G.add(s, shift) for s in base)
+            shift = G.add(shift, g)
+    return frozenset(S)
 
 
 def division_test(G: FiniteAbelianGroup, subgroup) -> Callable[[int], bool]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .core import InputError, InternalInconsistencyError, PremiseError
+from .core import InputError, InternalInconsistencyError, PremiseError, _int
 from .groups import FiniteAbelianGroup
 
 
@@ -47,7 +47,7 @@ class ProductColoring:
 
     @classmethod
     def from_table(cls, table, ncolors):
-        table = tuple(tuple(int(c) for c in row) for row in table)
+        table = tuple(tuple(_int(c, "coloring table") for c in row) for row in table)
         widths = {len(row) for row in table}
         if len(widths) > 1:
             raise InputError(f"table rows have mixed lengths {sorted(widths)}")
@@ -74,6 +74,7 @@ class ProductColoring:
 
     @classmethod
     def seeded_uniform(cls, nx, ny, ncolors, seed):
+        seed = _int(seed, "seed")
         # string seeds hash identically across platforms and versions
         def row(y):
             rng = random.Random(f"{seed}:{y}")
@@ -229,7 +230,7 @@ def group_from_abelian(G: FiniteAbelianGroup) -> FiniteGroup:
 
 def table_group(table, labels=None) -> FiniteGroup:
     """Group from an explicit multiplication table table[a][b] = a*b."""
-    table = tuple(tuple(int(v) for v in row) for row in table)
+    table = tuple(tuple(_int(v, "group table") for v in row) for row in table)
     n = len(table)
     for a, row in enumerate(table):
         if len(row) != n or sorted(row) != list(range(n)):
@@ -264,7 +265,7 @@ def table_group(table, labels=None) -> FiniteGroup:
 def group_coloring(group: FiniteGroup, descriptor) -> Callable[[int], int]:
     """Coloring of element indices from {formula, colors, seed}."""
     formula = descriptor.get("formula", "constant")
-    ncolors = int(descriptor.get("colors", 1))
+    ncolors = _int(descriptor.get("colors", 1), "colors")
     if ncolors < 1:
         raise InputError(f"color count must be >= 1, got {ncolors}")
     if formula == "constant":
@@ -272,7 +273,7 @@ def group_coloring(group: FiniteGroup, descriptor) -> Callable[[int], int]:
     if formula == "mod":
         return lambda i: i % ncolors
     if formula == "seeded-uniform":
-        seed = descriptor.get("seed", 0)
+        seed = _int(descriptor.get("seed", 0), "seed")
         return lambda i: random.Random(f"{seed}:{i}").randrange(ncolors)
     raise InputError(f"unknown coloring formula {formula!r}")
 

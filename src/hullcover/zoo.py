@@ -7,11 +7,11 @@ and the two hulls on a window of the integers: the subgroup hull, which is
 not a matroid, and the division hull, which is.
 
 Every backend has one shape: ``span(F)`` prepares F once (an elimination, a
-union-find, a gcd or nonzero flag, or the abelian ``hull_memo``, which keeps
-the ``groups.division_test`` of each F seen and is unbounded) and returns
-the test ``x in <F>``.  ``_member`` turns it into the oracle's
-``member(x, F)`` and reuses the last prepared span while consecutive calls
-pass an equal F, as ``closure`` does.
+union-find, a gcd or nonzero flag, or the ``groups.division_test`` of the
+abelian hull, kept for the last ``_HULL_MEMO_SIZE`` sets F in a bounded
+least-recently-used memo) and returns the test ``x in <F>``.  ``_member``
+turns it into the oracle's ``member(x, F)`` and reuses the last prepared
+span while consecutive calls pass an equal F, as ``closure`` does.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .core import GroundSet, HullOracle, InputError, MatroidInstance, _int
@@ -118,7 +119,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         if spec.dim:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
-            vectors = [tuple(int(c) % p for c in v) for v in spec.vectors]
+            vectors = [tuple(_int(c, "vector entry") % p for c in v) for v in spec.vectors]
         kind = f"vector_fp(p={p})"
     elif spec.field == "q":
         p = 0
@@ -151,7 +152,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
         seen = set()
         for e in spec.edges:
             try:
-                u, v = (int(w) for w in e)
+                u, v = (_int(w, "edge endpoint") for w in e)
             except (TypeError, ValueError):
                 raise InputError(f"edge {e!r} must be a pair of vertex indices") from None
             if not (0 <= u < n and 0 <= v < n):
@@ -189,9 +190,14 @@ def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
     return is_prime(p) and all(n == p for n in G.orders)
 
 
+# Z_2^4's three exhaustive:3 sweeps, the largest benchmark memo, prepare 2,427 sets
+_HULL_MEMO_SIZE = 1 << 12
+
+
 def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
     """Division-hull oracle on all of G: ``groups.division_test`` of <F>,
-    memoized per F, so ``subgroup_closure`` runs once for each new F.
+    memoized per F, so ``subgroup_closure`` runs once for each F among the
+    last ``_HULL_MEMO_SIZE`` prepared.
 
     Instances are matroid-flagged only when the hull is genuinely
     idempotent (see ``_division_hull_is_matroid``); on other groups the
@@ -200,13 +206,10 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
     closures can grow.
     """
     elems = G.elements
-    hull_memo: dict = {}
 
+    @lru_cache(maxsize=_HULL_MEMO_SIZE)
     def span(F):
-        test = hull_memo.get(F)
-        if test is None:
-            test = hull_memo[F] = division_test(G, subgroup_closure(G, [elems[i] for i in F]))
-        return test
+        return division_test(G, subgroup_closure(G, [elems[i] for i in F]))
 
     labels = [G.label(e) for e in elems]
     oracle = HullOracle("abelian", _member(span))

@@ -276,6 +276,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"subcommand": "partition", "parameters": {"spec": {"kind": "graphic", "complete": 3}, "basis": 5}},
         {"subcommand": ["partition"], "parameters": {}},
     ] + [
+        # coloring seeds that are not integers
+        {"subcommand": "quad", "parameters": {
+            "group": {"cyclic": 5}, "coloring": {"formula": "seeded-uniform", "colors": 1, "seed": seed}}}
+        for seed in ([1], {"a": 1}, 1.5)
+    ] + [
         {**manifest, "parameters": {**manifest["parameters"], "budget": bad}}
         for bad in (
             {k: v for k, v in budget.items() if k != "mode"},
@@ -296,6 +301,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"x_size": 3, "y_size": 6, "colors": "two", "formula": "mod"},
         {"x_size": 3, "y_size": 6, "formula": "constant", "value": "v"},
         {"colors": 2, "table": [[0, 1], [1, "a"]]},
+    ] + [
+        {"x_size": 3, "y_size": 6, "colors": 2, "formula": "seeded-uniform", "seed": seed}
+        for seed in ([1], {"a": 1}, 1.5)
     ]
     for coloring in colorings:
         path = write_json(tmp_path / "coloring.json", coloring)
@@ -308,6 +316,17 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups)
     assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
+
+
+def test_integer_string_seeds_are_recorded_as_integers(tmp_path):
+    coloring = {"x_size": 3, "y_size": 9, "colors": 2, "formula": "seeded-uniform"}
+    outputs = []
+    for i, seed in enumerate(("1", 1)):
+        path = write_json(tmp_path / f"coloring{i}.json", {**coloring, "seed": seed})
+        outputs.append(tmp_path / f"out{i}.json")
+        assert run(["rectangle", path, "--size", "2", "--out", outputs[-1]]) == 0
+    assert load(outputs[0])["manifest"]["parameters"]["coloring"]["seed"] == 1
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 GOLDEN_RUNS = [

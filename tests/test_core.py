@@ -294,6 +294,31 @@ def test_budget_parse_round_trip():
     assert Budget.exhaustive(3, max_evaluations=0).max_evaluations == 0
 
 
+@pytest.mark.parametrize(
+    "M",
+    [build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=4)), build_graphic_matroid(GraphSpec(6))],
+    ids=lambda m: m.oracle.kind,
+)
+def test_exchange_sweep_prepares_one_span_per_table_entry(M):
+    # each A changes the oracle's F once for closure(A) and once per element
+    # outside it; reading the pairs one by one would change it on every call
+    changes, last = 0, None
+
+    def counted(x, F):
+        nonlocal changes, last
+        if F != last:
+            changes, last = changes + 1, F
+        return M.oracle.member(x, F)
+
+    W = MatroidInstance(M.ground, HullOracle("counted", counted), M.loops)
+    assert check_exchange(W, Budget.exhaustive(3)).holds
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(M.ground.elements, size) for size in range(4)
+    )
+    bound = sum(M.ground.size - len(closure(M, A)) + 1 for A in subsets)
+    assert changes <= bound
+
+
 def _broken_instance(member):
     ground = GroundSet(tuple(str(i) for i in range(5)))
     return MatroidInstance(ground, HullOracle("broken", member), frozenset(), False)
@@ -342,6 +367,11 @@ PINNED_INSTANCES = {
     "not-extensive": _broken_instance(
         lambda x, F: (x in F and len(F) < 3) or (len(F) == 1 and x == 4)
     ),
+    # a closure operator (extensive, monotone, idempotent) whose only addition
+    # is 2 to the hull of any superset of {0, 1}: exchange holds at A = {} and
+    # fails first at A = {0}, where 2 is in the hull of {0, 1} but 1 is not in
+    # the hull of {0, 2}
+    "not-exchange": _broken_instance(lambda x, F: x in F or (x == 2 and {0, 1} <= F)),
 }
 
 MONO_0_01 = {"property": "monotone", "A": [0], "B": [0, 1], "x": 4}
@@ -413,6 +443,15 @@ PINNED_WITNESSES = {
             {"A": [], "x": 4, "y": 3},
         ),
         ("sampled:60:1", 3): (None, None, {"A": [], "x": 4, "y": 1}),
+    },
+    "not-exchange": {
+        ("exhaustive:1", None): (None, None, {"A": [0], "x": 2, "y": 1}),
+        ("exhaustive:2", None): (None, None, {"A": [0], "x": 2, "y": 1}),
+        ("exhaustive:3", None): (None, None, {"A": [0], "x": 2, "y": 1}),
+        ("sampled:40", 0): (None, None, {"A": [1, 4], "x": 2, "y": 0}),
+        ("sampled:300:2", 7): (None, None, {"A": [1, 3], "x": 2, "y": 0}),
+        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:60:1", 3): (None, None, {"A": [0], "x": 2, "y": 1}),
     },
     "not-extensive": {
         ("exhaustive:1", None): (None, None, {"A": [], "x": 4, "y": 0}),

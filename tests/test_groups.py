@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -43,6 +44,9 @@ def test_group_validation():
         Z4.element((4,))
     with pytest.raises(InputError):
         Z2Z4.element((0,))
+    # a non-integral order is refused, not truncated to 2
+    with pytest.raises(InputError):
+        FiniteAbelianGroup((2.7, 3))
 
 
 def test_trivial_group_edge_cases():
@@ -73,6 +77,22 @@ def test_subgroup_closure_is_a_subgroup():
                     assert G.neg(x) in S
                     for y in S:
                         assert G.add(x, y) in S
+
+
+def test_subgroup_closure_is_the_set_of_all_sums():
+    # <B> is every sum k_1 b_1 + ... + k_m b_m with 0 <= k_i < order(b_i),
+    # built here from scalar multiples without the coset fold
+    rng = random.Random(8)
+    for G in invariant_factor_groups(32):
+        g = G.elements[-1]
+        cases = [[], [G.zero], [g, g], [g, G.scalar(2, g)], [G.scalar(3, g), G.zero, g]]
+        cases += [[rng.choice(G.elements) for _ in range(rng.randint(1, 4))] for _ in range(30)]
+        for B in cases:
+            sums = {G.zero}
+            for b in B:
+                multiples = [G.scalar(k, b) for k in range(G.element_order(b))]
+                sums = {G.add(s, m) for s in sums for m in multiples}
+            assert subgroup_closure(G, B) == sums, (G.orders, B)
 
 
 # --- division hull --------------------------------------------------------------

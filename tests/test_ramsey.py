@@ -144,6 +144,13 @@ def test_table_coloring_validation():
         ProductColoring.from_table([[0, 1], [2, 0]], 2)
     with pytest.raises(InputError):
         ProductColoring.from_table([[0, 1], [0]], 2)
+    # non-integral colors and seeds are refused, not truncated
+    with pytest.raises(InputError):
+        ProductColoring.from_table([[0, 1], [1, 0.5]], 2)
+    for seed in ([1], {"a": 1}, 1.5):
+        with pytest.raises(InputError):
+            ProductColoring.seeded_uniform(3, 3, 2, seed)
+    assert ProductColoring.seeded_uniform(3, 3, 2, "7").descriptor["seed"] == 7
 
 
 # --- dependent monochrome quadruples ---------------------------------------------
@@ -206,6 +213,16 @@ def test_table_group_validation():
     # subtraction mod 3: a latin square with no two-sided identity
     with pytest.raises(InputError):
         table_group([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    with pytest.raises(InputError):
+        table_group([[0, 1], [1, 0.5]])
+
+
+def test_group_coloring_validation():
+    group = cyclic_group(5)
+    for descriptor in ({"colors": 2.5}, {"formula": "seeded-uniform", "colors": 2, "seed": 1.5},
+                       {"formula": "seeded-uniform", "colors": 2, "seed": [1]}):
+        with pytest.raises(InputError):
+            group_coloring(group, descriptor)
 
 
 def test_quad_seeded_sweeps_always_verify():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,11 +9,14 @@ from hullcover.core import (
     Budget,
     InputError,
     check_exchange,
+    check_hull_axioms,
+    check_idempotent,
     closure,
     greedy_basis,
     is_independent,
 )
-from hullcover.groups import FiniteAbelianGroup
+from hullcover import zoo
+from hullcover.groups import FiniteAbelianGroup, linear_hull
 from hullcover.zoo import (
     GraphSpec,
     IntegerHullSpec,
@@ -101,6 +105,9 @@ def test_vector_spec_validation():
         build_vector_matroid(VectorMatroidSpec("q", vectors=((1, 0), (1, 0, 0))))
     with pytest.raises(InputError):
         build_vector_matroid(VectorMatroidSpec("c", vectors=((1,),)))
+    # a non-integral entry is refused, not truncated to 1
+    with pytest.raises(InputError):
+        build_vector_matroid(VectorMatroidSpec("fp", p=2, vectors=((1.5, 0),)))
 
 
 # --- graphic matroids --------------------------------------------------------
@@ -135,6 +142,9 @@ def test_graph_spec_validation():
         build_graphic_matroid(GraphSpec(3, ((0, 1), (1, 0))))
     with pytest.raises(InputError):
         build_graphic_matroid(GraphSpec(3, ((0, 5),)))
+    # a non-integral endpoint is refused, not truncated to vertex 1
+    with pytest.raises(InputError):
+        build_graphic_matroid(GraphSpec(3, ((0, 1.5), (1, 2))))
 
 
 # --- abelian division hull ---------------------------------------------------
@@ -145,6 +155,50 @@ def test_z4_division_hull_membership():
     assert M.oracle.member(M.index_of((1,)), frozenset({M.index_of((2,))}))
     assert M.oracle.member(M.index_of((0,)), frozenset())
     assert M.loops == {M.index_of((0,))}
+
+
+def _recorded_memos(monkeypatch):
+    """The abelian hull memos built while patched, in order of construction."""
+    memos = []
+
+    def recording(maxsize):
+        def decorate(fn):
+            memos.append(functools.lru_cache(maxsize=maxsize)(fn))
+            return memos[-1]
+
+        return decorate
+
+    monkeypatch.setattr(zoo, "lru_cache", recording)
+    return memos
+
+
+def test_abelian_hull_memo_never_exceeds_its_bound(monkeypatch):
+    memos = _recorded_memos(monkeypatch)
+    monkeypatch.setattr(zoo, "_HULL_MEMO_SIZE", 16)
+    G = FiniteAbelianGroup((2, 2, 2))
+    M = build_abelian_linear_matroid(G)
+    (memo,) = memos
+    # 93 sets of size <= 3, each asked twice: evicted spans are rebuilt exactly
+    for _ in range(2):
+        for size in range(4):
+            for F in itertools.combinations(range(G.order), size):
+                hull = linear_hull(G, [G.elements[i] for i in F])
+                got = {G.elements[x] for x in range(G.order) if M.oracle.member(x, frozenset(F))}
+                assert got == hull, F
+                assert memo.cache_info().currsize <= 16
+    assert memo.cache_info().currsize == 16
+
+
+def test_abelian_hull_memo_holds_a_full_sweep_of_z2_4(monkeypatch):
+    # the largest memo of the benchmark: no span is evicted, so each set
+    # prepares its subgroup closure once
+    memos = _recorded_memos(monkeypatch)
+    M = build_abelian_linear_matroid(FiniteAbelianGroup((2, 2, 2, 2)))
+    for check in (check_hull_axioms, check_idempotent, check_exchange):
+        assert check(M, Budget.exhaustive(3)).holds
+    info = memos[0].cache_info()
+    assert info.maxsize == zoo._HULL_MEMO_SIZE
+    assert info.misses == info.currsize < info.maxsize
 
 
 def test_division_hull_matroid_flag_matches_verified_axioms():
