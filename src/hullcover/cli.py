@@ -4,8 +4,9 @@ Every subcommand writes one JSON document containing the result plus a
 manifest (subcommand, fully resolved parameters, seed, versions, verdicts).
 Documents are serialized with sorted keys, so identical inputs produce
 byte-identical files, and ``hullcover rerun OUTPUT`` re-executes the
-manifest embedded in an output file.  Timing is reported on stderr only, to
-keep the files reproducible.
+manifest embedded in an output file.  ``_write_document`` streams each one
+and replaces ``--out`` only once the file is complete.  Timing is reported
+on stderr only, to keep the files reproducible.
 
 Exit codes: 0 success with all certificates passing, 2 premise or parse
 error, 3 certificate or verification failure.
@@ -15,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -322,6 +326,118 @@ def _run_group(params):
     raise InputError(f"unknown group operation {op!r}")
 
 
+# ---------------------------------------------------------------------------
+# the document writer: the text of json.dumps(document, indent=2,
+# sort_keys=True) + "\n", produced piece by piece so that the whole text is
+# never held in memory; it accepts exactly the types json.dumps accepts
+
+_NESTED = (dict, list, tuple)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _int_array_format(n, newline):
+    """A %-format that renders n ints as an array closing on the line ``newline`` starts."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
+
+
+def _pieces(value, newline):
+    """The JSON text of ``value``, nested at the indent that ``newline`` ends with."""
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = newline + "  "
+        prefix = "{" + inner
+        for key, item in sorted(value.items()):
+            if isinstance(item, _NESTED):
+                yield prefix + _key(key) + ": "
+                yield from _pieces(item, inner)
+            else:
+                yield prefix + _key(key) + ": " + _scalar(item)
+            prefix = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        kinds = set(map(type, value))
+        inner = newline + "  "
+        if kinds == {int}:
+            yield _int_array_format(len(value), newline) % tuple(value)
+        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}:
+            # one piece per row; the first row's piece drops its separating comma
+            formats = {n: "," + inner + _int_array_format(n, inner) for n in set(map(len, value))}
+            rows = (formats[len(row)] % tuple(row) for row in value)
+            yield "[" + next(rows)[1:]
+            yield from rows
+            yield newline + "]"
+        else:
+            prefix = "[" + inner
+            for item in value:
+                if isinstance(item, _NESTED):
+                    yield prefix
+                    yield from _pieces(item, inner)
+                else:
+                    yield prefix + _scalar(item)
+                prefix = "," + inner
+            yield newline + "]"
+    else:
+        yield _scalar(value)
+
+
+def _write_document(document, out_path):
+    """Write ``document`` to ``out_path`` (stdout when empty); return the bytes written.
+
+    The text is ``json.dumps(document, indent=2, sort_keys=True)`` and a final
+    newline.  A file is written whole: into a temporary file beside
+    ``out_path`` that replaces it only once complete, and that is removed if
+    writing fails.
+    """
+    pieces = chain(_pieces(document, "\n"), "\n")
+    if not out_path:
+        return sum(map(sys.stdout.write, pieces))
+    path = Path(out_path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        out = open(partial, "x", encoding="utf-8", newline="")
+        try:
+            with out:
+                size = sum(map(out.write, pieces))
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink()
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+    return size
+
+
 def _execute(subcommand, params, seed, out_path):
     runner, required, _ = _SUBCOMMANDS[subcommand]
     _require(params, required, "parameters")
@@ -335,13 +451,13 @@ def _execute(subcommand, params, seed, out_path):
         "versions": {"hullcover": __version__, "python": platform.python_version()},
         "verdicts": verdicts,
     }
-    document = {"manifest": manifest, key: payload}
-    data = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        Path(out_path).write_text(data)
-    else:
-        sys.stdout.write(data)
-    print(f"hullcover {subcommand}: exit {code} in {elapsed:.3f}s", file=sys.stderr)
+    started = time.perf_counter()
+    size = _write_document({"manifest": manifest, key: payload}, out_path)
+    written = time.perf_counter() - started
+    print(
+        f"hullcover {subcommand}: exit {code} in {elapsed:.3f}s, wrote {size} bytes in {written:.3f}s",
+        file=sys.stderr,
+    )
     return code
 
 

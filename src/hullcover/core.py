@@ -255,7 +255,7 @@ class Budget:
 
     @classmethod
     def sampled(cls, seed, count, max_subset_size=3):
-        return cls("sampled", max_subset_size, int(seed), int(count))
+        return cls("sampled", max_subset_size, _int(seed, "seed"), _int(count, "count"))
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):

@@ -91,7 +91,9 @@ class FiniteAbelianGroup:
         """Coerce and validate a residue tuple (a bare int works for rank 1)."""
         if isinstance(x, int):
             x = (x,)
-        x = tuple(int(v) for v in x)
+        elif not isinstance(x, (list, tuple)):
+            raise InputError(f"element must be an integer or a residue tuple, got {x!r}")
+        x = tuple(_int(v, "residue") for v in x)
         if len(x) != len(self.orders):
             raise InputError(f"element {x} has rank {len(x)}, group has rank {len(self.orders)}")
         for v, n in zip(x, self.orders):

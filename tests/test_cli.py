@@ -1,4 +1,8 @@
+import enum
 import json
+import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -312,8 +316,13 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     for group in groups:
         path = write_json(tmp_path / "group.json", group)
         assert run(["quad", path, "--colors", "1", "--out", tmp_path / "q.json"]) == 2, group
+    # an --out that cannot be written: a missing directory, or a directory itself
+    (tmp_path / "outdir").mkdir()
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "outdir"):
+        assert run(["prefix-color", "2", "--out", out]) == 2, out
+    assert not list(tmp_path.glob(".*.tmp"))
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups)
+    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups) + 2
     assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
 
@@ -368,3 +377,91 @@ def test_stdout_output_when_no_out_given(capsys, tmp_path):
     assert run(["partition", spec]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "manifest" in payload and "partition" in payload
+
+
+# --- the document writer ------------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+SCALARS = [
+    0, -7, 2**70, -(2**70), Level.LOW, True, False, None,
+    0.0, -0.0, 1.5, 1e300, -1e-300, math.nan, math.inf, -math.inf,
+    "", "plain", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028",
+]
+KEYS = [
+    ["", "a", "b", "z\u00e9", "\"q\"", "A"],
+    [0, -3, 7, 2.5, -0.0, 1e300, math.inf, True],
+    [None],
+]
+
+
+def random_value(rng, depth):
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        return rng.choice(SCALARS)
+    if r < 0.5:
+        return [rng.randint(-9, 2000) for _ in range(rng.randint(0, 6))]
+    if r < 0.6:
+        # rows of ints, now and then one with a bool, a float or a nested list
+        rows = [[rng.randint(-9, 2000) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            rng.choice(rows).append(rng.choice([True, False, 0.5, [1]]))
+        return rows if rng.random() < 0.7 else tuple(map(tuple, rows))
+    if r < 0.8:
+        items = [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if rng.random() < 0.7 else tuple(items)
+    keys = rng.choice(KEYS)
+    return {key: random_value(rng, depth + 1) for key in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+def test_writer_matches_json_dumps_byte_for_byte(tmp_path, capsys):
+    rng = random.Random(20101)
+    out = tmp_path / "doc.json"
+    for _ in range(400):
+        document = random_value(rng, 0)
+        expected = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+        assert cli._write_document(document, out) == len(expected)
+        assert out.read_bytes() == expected, document
+    assert cli._write_document(document, None) == len(expected)
+    assert capsys.readouterr().out.encode() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j, [[1, 2], [3, object()]], {"a": 1, 2: 3}, {(1,): 2}])
+def test_writer_refuses_what_json_dumps_refuses(tmp_path, value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._write_document(value, tmp_path / "doc.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _patched_runner(monkeypatch, subcommand, result):
+    _, required, parse = cli._SUBCOMMANDS[subcommand]
+    monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (lambda params: result, required, parse))
+
+
+def test_unencodable_payload_leaves_the_output_untouched(tmp_path, monkeypatch):
+    _patched_runner(monkeypatch, "prefix-color", ("unencodable", object(), {}, 0))
+    out = tmp_path / "doc.json"
+    out.write_text("the previous document\n")
+    with pytest.raises(TypeError):
+        run(["prefix-color", "2", "--out", out])
+    assert out.read_bytes() == b"the previous document\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_writing_a_document_holds_less_than_its_text(tmp_path, monkeypatch):
+    # the document is built before tracing starts, so the peak is the writer's own
+    _patched_runner(monkeypatch, "prefix-color", cli._run_prefix_color({"k": 8}))
+    out = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        assert run(["prefix-color", "8", "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size

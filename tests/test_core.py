@@ -290,6 +290,11 @@ def test_budget_parse_round_trip():
                    {"mode": "sampled", "seed": None, "count": 5}):
         with pytest.raises(InputError):
             Budget(**fields)
+    # the sampled constructor refuses what int() would truncate
+    for seed, count in ((1.5, 10), (1, 2.7), ("x", 10), (None, 10)):
+        with pytest.raises(InputError):
+            Budget.sampled(seed, count)
+    assert Budget.sampled("1", 2.0) == Budget.sampled(1, 2)
     # a zero cap stays legal: it reads a sweep's estimate without running it
     assert Budget.exhaustive(3, max_evaluations=0).max_evaluations == 0
 

@@ -47,6 +47,11 @@ def test_group_validation():
     # a non-integral order is refused, not truncated to 2
     with pytest.raises(InputError):
         FiniteAbelianGroup((2.7, 3))
+    # residues are refused, not truncated, and a string is not split into residues
+    for bad in ((1.5, 2), "12", 1.0, None, {0: 1, 1: 2}):
+        with pytest.raises(InputError):
+            Z2Z4.element(bad)
+    assert Z2Z4.element([1.0, "2"]) == (1, 2)
 
 
 def test_trivial_group_edge_cases():
