@@ -15,13 +15,14 @@ error, 3 certificate or verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import stat
 import sys
 import time
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
@@ -327,115 +328,65 @@ def _run_group(params):
 
 
 # ---------------------------------------------------------------------------
-# the document writer: the text of json.dumps(document, indent=2,
-# sort_keys=True) + "\n", produced piece by piece so that the whole text is
-# never held in memory; it accepts exactly the types json.dumps accepts
+# the document writer
 
-_NESTED = (dict, list, tuple)
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar(value):
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+# the encoder yields tokens of a few bytes each; joined this many to a write
+# call, the calls cost less than the encoding, and the text held stays small
+_CHUNKS_PER_WRITE = 4096
 
 
-def _key(key):
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _int_array_format(n, newline):
-    """A %-format that renders n ints as an array closing on the line ``newline`` starts."""
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
-
-
-def _pieces(value, newline):
-    """The JSON text of ``value``, nested at the indent that ``newline`` ends with."""
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        inner = newline + "  "
-        prefix = "{" + inner
-        for key, item in sorted(value.items()):
-            if isinstance(item, _NESTED):
-                yield prefix + _key(key) + ": "
-                yield from _pieces(item, inner)
-            else:
-                yield prefix + _key(key) + ": " + _scalar(item)
-            prefix = "," + inner
-        yield newline + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        kinds = set(map(type, value))
-        inner = newline + "  "
-        if kinds == {int}:
-            yield _int_array_format(len(value), newline) % tuple(value)
-        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}:
-            # one piece per row; the first row's piece drops its separating comma
-            formats = {n: "," + inner + _int_array_format(n, inner) for n in set(map(len, value))}
-            rows = (formats[len(row)] % tuple(row) for row in value)
-            yield "[" + next(rows)[1:]
-            yield from rows
-            yield newline + "]"
-        else:
-            prefix = "[" + inner
-            for item in value:
-                if isinstance(item, _NESTED):
-                    yield prefix
-                    yield from _pieces(item, inner)
-                else:
-                    yield prefix + _scalar(item)
-                prefix = "," + inner
-            yield newline + "]"
-    else:
-        yield _scalar(value)
+def _write_text(document, out):
+    """Write ``document``'s text and a final newline to ``out``; return its length."""
+    chunks = chain(_ENCODER.iterencode(document), "\n")
+    size = 0
+    while batch := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+        size += out.write(batch)
+    return size
 
 
 def _write_document(document, out_path):
     """Write ``document`` to ``out_path`` (stdout when empty); return the bytes written.
 
-    The text is ``json.dumps(document, indent=2, sort_keys=True)`` and a final
-    newline.  A file is written whole: into a temporary file beside
-    ``out_path`` that replaces it only once complete, and that is removed if
-    writing fails.
+    The text is that of ``json.dumps(document, indent=2, sort_keys=True)`` and
+    a final newline, written as the encoder yields it, so it is never held
+    whole.  A new or regular file is written whole: into a temporary file
+    beside the resolved target, which takes the target's mode (and owner,
+    where allowed) and replaces it only once complete; any other existing
+    node (a device, a FIFO) is written in place.
     """
-    pieces = chain(_pieces(document, "\n"), "\n")
     if not out_path:
-        return sum(map(sys.stdout.write, pieces))
-    path = Path(out_path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        return _write_text(document, sys.stdout)
     try:
+        path = Path(out_path).resolve()
+        if path.exists() and not path.is_file():
+            with open(path, "w", encoding="utf-8", newline="") as out:
+                return _write_text(document, out)
+        # a file left by a killed run of this pid has no live writer: remove it
+        partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        partial.unlink(missing_ok=True)
         out = open(partial, "x", encoding="utf-8", newline="")
         try:
             with out:
-                size = sum(map(out.write, pieces))
+                if path.exists():
+                    _keep_mode_and_owner(out.fileno(), path.stat())
+                size = _write_text(document, out)
             os.replace(partial, path)
         except BaseException:
-            partial.unlink()
+            partial.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     return size
+
+
+def _keep_mode_and_owner(fd, target):
+    os.chmod(fd, stat.S_IMODE(target.st_mode))
+    own = os.fstat(fd)
+    if (own.st_uid, own.st_gid) != (target.st_uid, target.st_gid):
+        # only a privileged writer may give a file away; others keep their own
+        with contextlib.suppress(PermissionError):
+            os.chown(fd, target.st_uid, target.st_gid)
 
 
 def _execute(subcommand, params, seed, out_path):

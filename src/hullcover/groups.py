@@ -93,7 +93,7 @@ class FiniteAbelianGroup:
             x = (x,)
         elif not isinstance(x, (list, tuple)):
             raise InputError(f"element must be an integer or a residue tuple, got {x!r}")
-        x = tuple(_int(v, "residue") for v in x)
+        x = tuple(v if type(v) is int else _int(v, "residue") for v in x)
         if len(x) != len(self.orders):
             raise InputError(f"element {x} has rank {len(x)}, group has rank {len(self.orders)}")
         for v, n in zip(x, self.orders):

@@ -1,7 +1,8 @@
 import enum
 import json
 import math
-import random
+import os
+import stat
 import tracemalloc
 
 import pytest
@@ -318,11 +319,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert run(["quad", path, "--colors", "1", "--out", tmp_path / "q.json"]) == 2, group
     # an --out that cannot be written: a missing directory, or a directory itself
     (tmp_path / "outdir").mkdir()
-    for out in (tmp_path / "missing" / "x.json", tmp_path / "outdir"):
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "outdir", "."):
         assert run(["prefix-color", "2", "--out", out]) == 2, out
     assert not list(tmp_path.glob(".*.tmp"))
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups) + 2
+    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups) + 3
     assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
 
@@ -386,48 +387,78 @@ class Level(enum.IntEnum):
     LOW = 3
 
 
-SCALARS = [
-    0, -7, 2**70, -(2**70), Level.LOW, True, False, None,
-    0.0, -0.0, 1.5, 1e300, -1e-300, math.nan, math.inf, -math.inf,
-    "", "plain", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028",
-]
-KEYS = [
-    ["", "a", "b", "z\u00e9", "\"q\"", "A"],
-    [0, -3, 7, 2.5, -0.0, 1e300, math.inf, True],
-    [None],
-]
-
-
-def random_value(rng, depth):
-    r = rng.random()
-    if depth > 3 or r < 0.35:
-        return rng.choice(SCALARS)
-    if r < 0.5:
-        return [rng.randint(-9, 2000) for _ in range(rng.randint(0, 6))]
-    if r < 0.6:
-        # rows of ints, now and then one with a bool, a float or a nested list
-        rows = [[rng.randint(-9, 2000) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 5))]
-        if rng.random() < 0.3:
-            rng.choice(rows).append(rng.choice([True, False, 0.5, [1]]))
-        return rows if rng.random() < 0.7 else tuple(map(tuple, rows))
-    if r < 0.8:
-        items = [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-        return items if rng.random() < 0.7 else tuple(items)
-    keys = rng.choice(KEYS)
-    return {key: random_value(rng, depth + 1) for key in rng.sample(keys, rng.randint(0, len(keys)))}
+# the values json.dumps treats with care: int subclasses and bools among ints,
+# signed zeros, huge and non-finite floats, escapes, non-ASCII text, and
+# non-string keys it coerces
+DOCUMENT = {
+    "rows": [[0, 1, 2], [], [3, True, -4], (5, Level.LOW)],
+    "floats": [-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf],
+    "text": ["", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028"],
+    "keys": [{3: "int", 2.5: "float", True: "bool", -0.0: "zero"}, {None: "null"}],
+    "empty": [{}, [], ()],
+    "nested": {"b": [{"z": 2**70, "a": [False]}], "a": ()},
+}
 
 
 def test_writer_matches_json_dumps_byte_for_byte(tmp_path, capsys):
-    rng = random.Random(20101)
     out = tmp_path / "doc.json"
-    for _ in range(400):
-        document = random_value(rng, 0)
-        expected = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
-        assert cli._write_document(document, out) == len(expected)
-        assert out.read_bytes() == expected, document
-    assert cli._write_document(document, None) == len(expected)
+    expected = (json.dumps(DOCUMENT, indent=2, sort_keys=True) + "\n").encode()
+    assert cli._write_document(DOCUMENT, out) == len(expected)
+    assert out.read_bytes() == expected
+    assert cli._write_document(DOCUMENT, None) == len(expected)
     assert capsys.readouterr().out.encode() == expected
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_writer_keeps_an_existing_files_mode_and_owner(tmp_path):
+    out = tmp_path / "doc.json"
+    out.write_text("the previous document\n")
+    out.chmod(0o640)
+    owner = (4242, 4343) if os.geteuid() == 0 else (os.getuid(), os.getgid())
+    os.chown(out, *owner)
+    assert run(["prefix-color", "2", "--out", out]) == 0
+    st = out.stat()
+    assert (stat.S_IMODE(st.st_mode), st.st_uid, st.st_gid) == (0o640, *owner)
+    assert json.loads(out.read_text())["manifest"]["subcommand"] == "prefix-color"
+
+
+def test_writer_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "doc.json"
+    target.write_text("the previous document\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(["prefix-color", "2", "--out", link]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["manifest"]["subcommand"] == "prefix-color"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["doc.json", "link.json", "real"]
+
+
+def test_writer_writes_into_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "doc.fifo"
+    os.mkfifo(fifo)
+    # the read end is open before the writer opens the write end; the document
+    # fits in the pipe's buffer, so writing it does not wait for the reader
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["prefix-color", "2", "--out", fifo]) == 0
+        text = b""
+        while chunk := os.read(reader, 1 << 16):
+            text += chunk
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    document = json.loads(text)
+    assert text == (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.fifo"]
+
+
+def test_writer_replaces_a_stale_temporary_file_of_its_own_pid(tmp_path):
+    out = tmp_path / "x.json"
+    stale = tmp_path / f".x.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run")
+    assert run(["prefix-color", "2", "--out", out]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j, [[1, 2], [3, object()]], {"a": 1, 2: 3}, {(1,): 2}])
@@ -456,7 +487,8 @@ def test_unencodable_payload_leaves_the_output_untouched(tmp_path, monkeypatch):
 
 def test_writing_a_document_holds_less_than_its_text(tmp_path, monkeypatch):
     # the document is built before tracing starts, so the peak is the writer's own
-    _patched_runner(monkeypatch, "prefix-color", cli._run_prefix_color({"k": 8}))
+    result = cli._run_prefix_color({"k": 8})
+    _patched_runner(monkeypatch, "prefix-color", result)
     out = tmp_path / "doc.json"
     tracemalloc.start()
     try:
@@ -465,3 +497,8 @@ def test_writing_a_document_holds_less_than_its_text(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size
+    # written in many batches of the encoder's chunks, the text is still json.dumps's
+    key, payload = result[:2]
+    document = json.loads(out.read_text())
+    assert document[key] == json.loads(json.dumps(payload))
+    assert out.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
