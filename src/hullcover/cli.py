@@ -356,7 +356,15 @@ def _write_document(document, out_path):
     node (a device, a FIFO) is written in place.
     """
     if not out_path:
-        return _write_text(document, sys.stdout)
+        try:
+            size = _write_text(document, sys.stdout)
+            sys.stdout.flush()
+            return size
+        except OSError as exc:
+            # what stays buffered would fail again at exit: let devnull take it
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise InputError(f"cannot write stdout: {exc.strerror or exc}") from None
     try:
         path = Path(out_path).resolve()
         if path.exists() and not path.is_file():

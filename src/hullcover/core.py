@@ -111,8 +111,8 @@ class MatroidInstance:
     instances are treated as oracle bugs.  ``objects`` optionally carries the
     semantic payload behind each index (vectors, edges, group elements).
 
-    Instances are immutable after construction apart from an internal
-    closure cache; all operations on them are pure.
+    Instances are immutable after construction apart from a bounded
+    internal closure memo (see ``closure``); all operations on them are pure.
     """
 
     ground: GroundSet
@@ -155,14 +155,24 @@ def _as_subset(M: MatroidInstance, F) -> frozenset:
     return F
 
 
+# Z_2^4's three exhaustive:3 sweeps, the largest benchmark memo, materialize 2,427 sets
+_CLOSURE_MEMO_SIZE = 1 << 12
+
+
 def closure(M: MatroidInstance, F) -> frozenset:
-    """Materialize <F> over the ground set: all x with member(x, F)."""
+    """Materialize <F> over the ground set: all x with member(x, F).
+
+    Each instance memoizes its last ``_CLOSURE_MEMO_SIZE`` closures, evicting the oldest first.
+    """
     F = _as_subset(M, F)
-    cached = M._closures.get(F)
+    memo = M._closures
+    cached = memo.get(F)
     if cached is None:
         member = M.oracle.member
         cached = frozenset(x for x in M.ground.elements if member(x, F))
-        M._closures[F] = cached
+        if len(memo) >= _CLOSURE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[F] = cached
     return cached
 
 
@@ -347,12 +357,11 @@ def check_hull_axioms(M: MatroidInstance, budget: Budget) -> AxiomReport:
 
     Sampled sweeps test monotonicity on each draw against a seeded subset of it.
     """
-    member = M.oracle.member
 
     def extensive_violation(A):
-        for a in sorted(A):
-            if not member(a, A):
-                return {"property": "extensive", "A": sorted(A), "x": a}
+        missing = A - closure(M, A)
+        if missing:
+            return {"property": "extensive", "A": sorted(A), "x": min(missing)}
         return None
 
     def monotone_violation(F, G):
@@ -402,11 +411,8 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
     one seeded pair per draw.  A violation witness is oriented so that x is
     the element inside the hull of A and y, matching how counterexamples read.
 
-    For each A the exhaustive sweep reads both directions of every pair from
-    one lazy table over the m elements outside closure(A): the entry of z
-    holds the others that lie in the hull of A | {z}.  An entry is one
-    prepared span and m - 1 oracle calls, the same m(m - 1) calls per A that
-    the pairs make, with m spans instead of m(m - 1).
+    The exhaustive sweep reads both directions of every pair from the
+    memoized closures of A | {z}, one for each z outside closure(A).
     """
     member = M.oracle.member
 
@@ -423,16 +429,11 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
 
     def exhaustive(sets):
         for A in sets:
-            out, hulls = outside(A), {}
-
-            def hull(z):
-                if z not in hulls:
-                    Az = A | {z}
-                    hulls[z] = {x for x in out if x != z and member(x, Az)}
-                return hulls[z]
-
-            for x, y in itertools.combinations(out, 2):
-                yield violation(A, x, y, x in hull(y), y in hull(x))
+            out = outside(A)
+            for i, x in enumerate(out):
+                hull_x = closure(M, A | {x})
+                for y in out[i + 1 :]:
+                    yield violation(A, x, y, x in closure(M, A | {y}), y in hull_x)
 
     def sampled(sets, rng):
         for A in sets:

@@ -33,14 +33,8 @@ def _prime_factors(n: int) -> dict:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    # 0, 1 and negative n have no factors here, so they fail the comparison
+    return _prime_factors(n) == {n: 1}
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ not a matroid, and the division hull, which is.
 
 Every backend has one shape: ``span(F)`` prepares F once (an elimination, a
 union-find, a gcd or nonzero flag, or the ``groups.division_test`` of the
-abelian hull, kept for the last ``_HULL_MEMO_SIZE`` sets F in a bounded
-least-recently-used memo) and returns the test ``x in <F>``.  ``_member``
-turns it into the oracle's ``member(x, F)`` and reuses the last prepared
-span while consecutive calls pass an equal F, as ``closure`` does.
+abelian hull) and returns the test ``x in <F>``.  ``_member`` turns it into
+the oracle's ``member(x, F)`` and reuses the last prepared span while
+consecutive calls pass an equal F, as ``closure`` does; the bounded memo
+behind ``core.closure`` is the only memo of hull work.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .core import GroundSet, HullOracle, InputError, MatroidInstance, _int
@@ -190,14 +189,8 @@ def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
     return is_prime(p) and all(n == p for n in G.orders)
 
 
-# Z_2^4's three exhaustive:3 sweeps, the largest benchmark memo, prepare 2,427 sets
-_HULL_MEMO_SIZE = 1 << 12
-
-
 def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
-    """Division-hull oracle on all of G: ``groups.division_test`` of <F>,
-    memoized per F, so ``subgroup_closure`` runs once for each F among the
-    last ``_HULL_MEMO_SIZE`` prepared.
+    """Division-hull oracle on all of G: ``groups.division_test`` of <F>.
 
     Instances are matroid-flagged only when the hull is genuinely
     idempotent (see ``_division_hull_is_matroid``); on other groups the
@@ -207,7 +200,6 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
     """
     elems = G.elements
 
-    @lru_cache(maxsize=_HULL_MEMO_SIZE)
     def span(F):
         return division_test(G, subgroup_closure(G, [elems[i] for i in F]))
 

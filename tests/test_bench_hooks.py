@@ -21,7 +21,7 @@ TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 JOBS = [
     (
         ["check-axioms", "SPEC"],
-        {"kind": "abelian", "orders": [2, 2]},
+        {"kind": "abelian", "orders": [2, 2, 2]},
         ("zoo.oracle_calls.abelian", "groups.hull_memo_misses", "core.sweep_oracle_calls.exchange"),
     ),
     (["prefix-color", "3", "--verify"], None, ("ramsey.odd_cycle_verify_s", "ramsey.edges")),

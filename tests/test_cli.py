@@ -3,7 +3,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +381,24 @@ def test_stdout_output_when_no_out_given(capsys, tmp_path):
     assert run(["partition", spec]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "manifest" in payload and "partition" in payload
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    # the pipe's read end is closed before the run starts, so every write fails
+    reader, writer = os.pipe()
+    os.close(reader)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hullcover.cli", "prefix-color", "3"],
+            stdout=writer, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith("hullcover: error: cannot write stdout: "), line
 
 
 # --- the document writer ------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hullcover import core
 from hullcover.core import (
     Budget,
     BudgetError,
@@ -305,8 +306,9 @@ def test_budget_parse_round_trip():
     ids=lambda m: m.oracle.kind,
 )
 def test_exchange_sweep_prepares_one_span_per_table_entry(M):
-    # each A changes the oracle's F once for closure(A) and once per element
-    # outside it; reading the pairs one by one would change it on every call
+    # each A changes the oracle's F at most once for closure(A) and once per
+    # element z outside it, for the memoized closure of A | {z}; asking the
+    # oracle about the pairs one by one would change it on every call
     changes, last = 0, None
 
     def counted(x, F):
@@ -501,3 +503,42 @@ def test_sweep_witnesses_are_pinned(name):
             else:
                 assert report.verdict == "violated", where
                 assert reverify_witness(M, report), where
+
+
+# --- the closure memo ----------------------------------------------------------------
+
+
+def _fresh(M):
+    """M with an empty closure memo."""
+    return MatroidInstance(M.ground, M.oracle, M.loops, M.is_matroid, M.objects)
+
+
+EVICTION_INSTANCES = {
+    "K4": K4,
+    "F2^3": build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=3)),
+    **{name: PINNED_INSTANCES[name] for name in ("not-monotone", "not-extensive", "not-exchange")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVICTION_INSTANCES))
+def test_closure_memo_eviction_never_changes_a_report(monkeypatch, name):
+    M = EVICTION_INSTANCES[name]
+    checks = (check_hull_axioms, check_idempotent, check_exchange)
+    # every pinned instance is swept on the same budgets
+    budgets = [Budget.parse(text, seed=seed) for text, seed in PINNED_WITNESSES["K5"]]
+
+    def reports():
+        return [check(_fresh(M), budget) for budget in budgets for check in checks]
+
+    expected = reports()
+    for size in (core._CLOSURE_MEMO_SIZE, 8):
+        monkeypatch.setattr(core, "_CLOSURE_MEMO_SIZE", size)
+        assert reports() == expected
+        # the exchange sweep gives the same report on a memo another sweep filled
+        for budget in budgets:
+            W = _fresh(M)
+            alone = check_exchange(W, budget)
+            assert len(W._closures) <= size
+            W = _fresh(M)
+            check_hull_axioms(W, budget)
+            assert check_exchange(W, budget) == alone

@@ -9,6 +9,7 @@ from hullcover.groups import (
     dependent_coset_pair,
     invariant_factor_groups,
     is_linearly_independent,
+    is_prime,
     linear_hull,
     n_torsion,
     primary_decomposition,
@@ -26,6 +27,15 @@ def brute_torsion(G, n):
 
 
 # --- group basics -------------------------------------------------------------
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 1999
+    for p in range(2, 45):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    for n in range(-5, 2001):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
 
 
 def test_group_shape():

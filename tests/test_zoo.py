@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,8 +14,8 @@ from hullcover.core import (
     greedy_basis,
     is_independent,
 )
-from hullcover import zoo
-from hullcover.groups import FiniteAbelianGroup, linear_hull
+from hullcover import core, zoo
+from hullcover.groups import FiniteAbelianGroup, linear_hull, subgroup_closure
 from hullcover.zoo import (
     GraphSpec,
     IntegerHullSpec,
@@ -157,48 +156,34 @@ def test_z4_division_hull_membership():
     assert M.loops == {M.index_of((0,))}
 
 
-def _recorded_memos(monkeypatch):
-    """The abelian hull memos built while patched, in order of construction."""
-    memos = []
-
-    def recording(maxsize):
-        def decorate(fn):
-            memos.append(functools.lru_cache(maxsize=maxsize)(fn))
-            return memos[-1]
-
-        return decorate
-
-    monkeypatch.setattr(zoo, "lru_cache", recording)
-    return memos
-
-
-def test_abelian_hull_memo_never_exceeds_its_bound(monkeypatch):
-    memos = _recorded_memos(monkeypatch)
-    monkeypatch.setattr(zoo, "_HULL_MEMO_SIZE", 16)
+def test_closure_memo_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(core, "_CLOSURE_MEMO_SIZE", 16)
     G = FiniteAbelianGroup((2, 2, 2))
     M = build_abelian_linear_matroid(G)
-    (memo,) = memos
-    # 93 sets of size <= 3, each asked twice: evicted spans are rebuilt exactly
+    # 93 sets of size <= 3, each asked twice: evicted closures are rebuilt exactly
     for _ in range(2):
         for size in range(4):
             for F in itertools.combinations(range(G.order), size):
                 hull = linear_hull(G, [G.elements[i] for i in F])
-                got = {G.elements[x] for x in range(G.order) if M.oracle.member(x, frozenset(F))}
-                assert got == hull, F
-                assert memo.cache_info().currsize <= 16
-    assert memo.cache_info().currsize == 16
+                assert {G.elements[x] for x in closure(M, F)} == hull, F
+                assert len(M._closures) <= 16
+    assert len(M._closures) == 16
 
 
-def test_abelian_hull_memo_holds_a_full_sweep_of_z2_4(monkeypatch):
-    # the largest memo of the benchmark: no span is evicted, so each set
-    # prepares its subgroup closure once
-    memos = _recorded_memos(monkeypatch)
+def test_closure_memo_holds_a_full_sweep_of_z2_4(monkeypatch):
+    # the largest memo of the benchmark: no closure is evicted, and the
+    # abelian oracle prepares one subgroup closure per memoized set
+    calls = []
+
+    def counted(G, gens):
+        calls.append(None)
+        return subgroup_closure(G, gens)
+
+    monkeypatch.setattr(zoo, "subgroup_closure", counted)
     M = build_abelian_linear_matroid(FiniteAbelianGroup((2, 2, 2, 2)))
     for check in (check_hull_axioms, check_idempotent, check_exchange):
         assert check(M, Budget.exhaustive(3)).holds
-    info = memos[0].cache_info()
-    assert info.maxsize == zoo._HULL_MEMO_SIZE
-    assert info.misses == info.currsize < info.maxsize
+    assert len(calls) == len(M._closures) == 2427 < core._CLOSURE_MEMO_SIZE
 
 
 def test_division_hull_matroid_flag_matches_verified_axioms():
