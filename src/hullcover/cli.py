@@ -29,10 +29,13 @@ from . import __version__
 from .core import (
     Budget,
     BudgetError,
+    Fields,
     InputError,
     InternalInconsistencyError,
     PremiseError,
     _int,
+    _int_rows,
+    _ints,
     check_exchange,
     check_hull_axioms,
     check_idempotent,
@@ -86,68 +89,39 @@ def _decorate_witness(M, witness):
     return out
 
 
-def _require(mapping, keys, what):
-    """Return ``mapping``; raise InputError unless it is an object holding every key."""
-    if not isinstance(mapping, dict):
-        raise InputError(f"{what} must be a JSON object, got {type(mapping).__name__}")
-    missing = [key for key in keys if key not in mapping]
-    if missing:
-        raise InputError(f"{what} is missing {', '.join(map(repr, missing))}")
-    return mapping
-
-
-def _ints(values, what, depth=1):
-    """A JSON list of integers, or of such lists when ``depth`` is 2, cast through ``_int``."""
-    if not isinstance(values, list):
-        raise InputError(f"{what}: expected a list, got {values!r}")
-    return [_ints(v, what, depth - 1) if depth > 1 else _int(v, what) for v in values]
-
-
-def _resolve_coloring(mapping, seed):
-    resolved = dict(_require(mapping, (), "coloring"))
-    if "table" in resolved:
-        resolved.setdefault("formula", "table")
-        return resolved
-    if resolved.get("formula") == "seeded-uniform":
-        resolved["seed"] = _int(resolved.get("seed", 0 if seed is None else seed), "seed")
-    return resolved
-
-
-def _coloring_from_dict(mapping):
-    _require(mapping, (), "coloring")
-    ncolors = _int(mapping.get("colors", 1), "colors")
-    if "table" in mapping:
-        return ProductColoring.from_table(_ints(mapping["table"], "coloring table", 2), ncolors)
-    _require(mapping, ("x_size", "y_size"), "coloring without a table")
-    nx, ny = _int(mapping["x_size"], "x_size"), _int(mapping["y_size"], "y_size")
-    formula = mapping.get("formula", "constant")
+def _product_coloring(c, seed):
+    ncolors = c("colors", _int, 1)
+    formula = c("formula", None, "table" if "table" in c else "constant")
+    if formula == "table":
+        return ProductColoring.from_table(c("table", _int_rows), ncolors)
+    nx, ny = c("x_size", _int), c("y_size", _int)
     if formula == "constant":
-        return ProductColoring.constant(nx, ny, ncolors, _int(mapping.get("value", 0), "value"))
+        return ProductColoring.constant(nx, ny, ncolors, c("value", _int, 0))
     if formula == "mod":
         return ProductColoring.mod(nx, ny, ncolors)
     if formula == "seeded-uniform":
-        return ProductColoring.seeded_uniform(nx, ny, ncolors, mapping.get("seed", 0))
+        return ProductColoring.seeded_uniform(nx, ny, ncolors, c.seed(seed))
     raise InputError(f"unknown coloring formula {formula!r}")
 
 
-def _group_from_dict(mapping):
-    if "cyclic" in _require(mapping, (), "group"):
-        return cyclic_group(_int(mapping["cyclic"], "cyclic"))
-    if "orders" in mapping:
-        return group_from_abelian(FiniteAbelianGroup(tuple(_ints(mapping["orders"], "orders"))))
-    if "table" in mapping:
-        return table_group(_ints(mapping["table"], "group table", 2))
+def _group(g):
+    if "cyclic" in g:
+        return cyclic_group(g("cyclic", _int))
+    if "orders" in g:
+        return group_from_abelian(FiniteAbelianGroup(tuple(g("orders", _ints))))
+    if "table" in g:
+        return table_group(g("table", _int_rows))
     raise InputError("group descriptor needs one of: cyclic, orders, table")
 
 
 # ---------------------------------------------------------------------------
-# runners: params dict in, (payload key, payload, verdicts, exit code) out
+# runners: a Fields reader over the parameters and the top-level seed in,
+# (payload key, payload, verdicts, exit code) out
 
 
-def _run_partition(params):
-    M = matroid_from_spec(params["spec"])
-    basis = params.get("basis")
-    P = layered_partition(M, None if basis is None else _ints(basis, "basis"))
+def _run_partition(f, seed):
+    M = matroid_from_spec(f("spec", Fields))
+    P = layered_partition(M, f("basis", _ints, None))
     report = verify_partition(M, P)
     dec = P.decomposition
     payload = {
@@ -187,14 +161,11 @@ def _run_partition(params):
     return "partition", payload, verdicts, code
 
 
-def _run_check_axioms(params):
-    M = matroid_from_spec(params["spec"])
-    b = _require(params["budget"], ("mode", "max_subset_size"), "budget")
+def _run_check_axioms(f, seed):
+    M = matroid_from_spec(f("spec", Fields))
+    b = f("budget", Fields)
     budget = Budget(
-        mode=b["mode"],
-        max_subset_size=b["max_subset_size"],
-        seed=b.get("seed"),
-        count=b.get("count"),
+        b("mode"), b("max_subset_size", _int), b("seed", _int, None), b("count", _int, None)
     )
     reports = [check_hull_axioms(M, budget), check_idempotent(M, budget), check_exchange(M, budget)]
     entries = []
@@ -215,9 +186,9 @@ def _run_check_axioms(params):
     return "axioms", payload, verdicts, EXIT_OK if all_hold else EXIT_CERTIFICATE
 
 
-def _run_rectangle(params):
-    coloring = _coloring_from_dict(params["coloring"])
-    lam = _int(params["size"], "size")
+def _run_rectangle(f, seed):
+    coloring = _product_coloring(f("coloring", Fields), seed)
+    lam = f("size", _int)
     rect = monochrome_rectangle(coloring, lam)
     payload = {
         "x_size": coloring.nx,
@@ -233,11 +204,11 @@ def _run_rectangle(params):
     return "rectangle", payload, {"verified": payload["verified"]}, EXIT_OK
 
 
-def _run_quad(params):
-    group = _group_from_dict(params["group"])
-    descriptor = _require(params["coloring"], ("colors",), "coloring")
-    ncolors = _int(descriptor["colors"], "colors")
-    chi = group_coloring(group, descriptor)
+def _run_quad(f, seed):
+    group = _group(f("group", Fields))
+    descriptor = f("coloring", Fields)
+    ncolors = descriptor("colors", _int)
+    chi = group_coloring(group, descriptor, seed)
     cert = dependent_monochrome_quad(group, chi, ncolors)
     payload = {
         "group": group.descriptor,
@@ -264,9 +235,9 @@ def _run_quad(params):
     return "quad", payload, {"certificate_valid": ok}, EXIT_OK if ok else EXIT_CERTIFICATE
 
 
-def _run_prefix_color(params):
-    k = _int(params["k"], "k")
-    coloring = prefix_coloring(k, _int(params.get("limit", 12), "limit"))
+def _run_prefix_color(f, seed):
+    k = f("k", _int)
+    coloring = prefix_coloring(k, f("limit", _int, 12))
     payload = {
         "k": k,
         "vertices": coloring.n,
@@ -275,7 +246,7 @@ def _run_prefix_color(params):
     }
     code = EXIT_OK
     verdicts = {}
-    if params.get("verify"):
+    if f("verify", None, False):
         report = verify_no_monochrome_odd_cycle(coloring)
         payload["odd_cycle_check"] = {
             "ok": report.ok,
@@ -289,13 +260,12 @@ def _run_prefix_color(params):
     return "prefix_coloring", payload, verdicts, code
 
 
-def _run_group(params):
-    G = FiniteAbelianGroup(tuple(_ints(params["orders"], "orders")))
-    op = params["op"]
+def _run_group(f, seed):
+    op, n, elements = f("op"), f("n", _int, None), f("elements", _int_rows, None)
+    G = FiniteAbelianGroup(tuple(f("orders", _ints)))
     if op == "torsion":
-        if params.get("n") is None:
+        if n is None:
             raise InputError("group torsion needs --n")
-        n = _int(params["n"], "n")
         elems = sorted(n_torsion(G, n))
         payload = {"orders": list(G.orders), "n": n, "elements": [list(e) for e in elems]}
         return "torsion", payload, {"subgroup_size": len(elems)}, EXIT_OK
@@ -310,9 +280,9 @@ def _run_group(params):
         code = EXIT_OK if report.direct_sum_verified else EXIT_CERTIFICATE
         return "decomposition", payload, {"direct_sum_verified": report.direct_sum_verified}, code
     if op == "independence":
-        if not params.get("elements"):
+        if not elements:
             raise InputError("group independence needs --elements")
-        elems = [G.element(tuple(e)) for e in _ints(params["elements"], "elements", 2)]
+        elems = [G.element(tuple(e)) for e in elements]
         independent = is_linearly_independent(G, elems)
         M = build_abelian_linear_matroid(G)
         hull_independent = is_independent(M, [M.index_of(e) for e in elems])
@@ -398,14 +368,13 @@ def _keep_mode_and_owner(fd, target):
 
 
 def _execute(subcommand, params, seed, out_path):
-    runner, required, _ = _SUBCOMMANDS[subcommand]
-    _require(params, required, "parameters")
+    params = Fields(params, "parameters")
     started = time.perf_counter()
-    key, payload, verdicts, code = runner(params)
+    key, payload, verdicts, code = _SUBCOMMANDS[subcommand][0](params, seed)
     elapsed = time.perf_counter() - started
     manifest = {
         "subcommand": subcommand,
-        "parameters": params,
+        "parameters": params.record,
         "seed": seed,
         "versions": {"hullcover": __version__, "python": platform.python_version()},
         "verdicts": verdicts,
@@ -428,31 +397,26 @@ def _parse_elements(text):
     return [_parse_int_list(chunk, "elements") for chunk in str(text).split(";") if chunk.strip()]
 
 
-def _check_axioms_params(a):
-    budget = Budget.parse(a.budget, seed=a.seed)
-    fields = ("mode", "max_subset_size", "seed", "count")
-    return {"spec": _load_json(a.spec), "budget": {f: getattr(budget, f) for f in fields}}
-
-
-# subcommand: (runner, the parameters it reads without a default, parsed
-# arguments -> parameters); the objects among the parameters (budget,
-# coloring) are checked where their runner reads them
+# subcommand: (runner, parsed arguments -> parameters); fresh runs and
+# reruns alike reach the runner through one Fields reader, whose record the
+# manifest keeps, so a key no runner reads (a budget's max_evaluations) is
+# neither used nor recorded
 _SUBCOMMANDS = {
-    "partition": (_run_partition, ("spec",), lambda a: {
+    "partition": (_run_partition, lambda a: {
         "spec": _load_json(a.spec),
         "basis": _parse_int_list(a.basis, "basis") if a.basis else None,
     }),
-    "check-axioms": (_run_check_axioms, ("spec", "budget"), _check_axioms_params),
-    "rectangle": (_run_rectangle, ("coloring", "size"), lambda a: {
-        "coloring": _resolve_coloring(_load_json(a.coloring), a.seed),
-        "size": a.size,
+    "check-axioms": (_run_check_axioms, lambda a: {
+        "spec": _load_json(a.spec),
+        "budget": vars(Budget.parse(a.budget, seed=a.seed)),
     }),
-    "quad": (_run_quad, ("group", "coloring"), lambda a: {
+    "rectangle": (_run_rectangle, lambda a: {"coloring": _load_json(a.coloring), "size": a.size}),
+    "quad": (_run_quad, lambda a: {
         "group": _load_json(a.group),
-        "coloring": _resolve_coloring({"formula": a.formula, "colors": a.colors}, a.seed),
+        "coloring": {"formula": a.formula, "colors": a.colors},
     }),
-    "prefix-color": (_run_prefix_color, ("k",), lambda a: {"k": a.k, "verify": a.verify, "limit": a.limit}),
-    "group": (_run_group, ("op", "orders"), lambda a: {
+    "prefix-color": (_run_prefix_color, lambda a: {"k": a.k, "verify": a.verify, "limit": a.limit}),
+    "group": (_run_group, lambda a: {
         "op": a.op,
         "orders": _parse_int_list(a.orders, "orders"),
         "n": a.n,
@@ -464,13 +428,12 @@ _SUBCOMMANDS = {
 def _from_manifest(source):
     """``(subcommand, parameters, seed)`` from the manifest inside an output document."""
     document = _load_json(source)
-    manifest = document.get("manifest", document) if isinstance(document, dict) else None
-    if not isinstance(manifest, dict):
-        raise InputError(f"{source}: expected a JSON object holding a manifest")
-    subcommand = _require(manifest, ("subcommand", "parameters"), "manifest")["subcommand"]
+    manifest = document.get("manifest", document) if isinstance(document, dict) else document
+    m = Fields(manifest, "manifest")
+    subcommand = m("subcommand")
     if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
         raise InputError(f"manifest names unknown subcommand {subcommand!r}")
-    return subcommand, manifest["parameters"], manifest.get("seed")
+    return subcommand, m("parameters"), m("seed", _int, None)
 
 
 def _build_parser():
@@ -532,7 +495,7 @@ def main(argv=None) -> int:
             subcommand, params, seed = _from_manifest(args.source)
         else:
             subcommand, seed = args.command, getattr(args, "seed", None)
-            params = _SUBCOMMANDS[subcommand][2](args)
+            params = _SUBCOMMANDS[subcommand][1](args)
         return _execute(subcommand, params, seed, args.out)
     except (InputError, PremiseError, BudgetError) as exc:
         print(f"hullcover: error: {exc}", file=sys.stderr)

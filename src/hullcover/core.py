@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from typing import Callable, Iterable, Optional
 
@@ -49,6 +50,52 @@ def _int(value, what):
     if cast is None or cast != value and not isinstance(value, str):
         raise InputError(f"{what}: expected an integer, got {value!r}")
     return cast
+
+
+def _ints(values, what, depth=1, item=_int):
+    """A JSON list of ``item(value, what)``, or of such lists when ``depth`` is 2."""
+    if not isinstance(values, list):
+        raise InputError(f"{what}: expected a list, got {values!r}")
+    return [_ints(v, what, depth - 1, item) if depth > 1 else item(v, what) for v in values]
+
+
+_int_rows = partial(_ints, depth=2)
+
+
+class Fields:
+    """A JSON object read key by key: the one boundary of parameters and specs.
+
+    ``fields(key, cast, default)`` returns ``cast(value, key)`` (the value as
+    written when ``cast`` is None), or ``default`` when the key is missing or
+    null; a key without a default must be there.  ``record`` keeps each value
+    read as returned, a nested reader as its own record: what a run used.
+    """
+
+    def __init__(self, mapping, what):
+        if not isinstance(mapping, dict):
+            raise InputError(f"{what} must be a JSON object, got {type(mapping).__name__}")
+        self.mapping, self.what, self.record = mapping, what, {}
+
+    def __contains__(self, key):
+        return key in self.mapping
+
+    def __call__(self, key, cast=None, default=...):
+        value = self.mapping.get(key)
+        if value is None:
+            if default is ...:
+                raise InputError(f"{self.what} is missing {key!r}")
+            value = default
+        elif cast is not None:
+            value = cast(value, key)
+        self.record[key] = value.record if isinstance(value, Fields) else value
+        return value
+
+    def seed(self, default):
+        """The "seed" field: ``default`` (0 when None) if absent, and never another value."""
+        seed = self("seed", _int, 0 if default is None else default)
+        if default is not None and seed != default:
+            raise InputError(f"{self.what} seed {seed} contradicts --seed {default}")
+        return seed
 
 
 class PremiseError(ValueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .core import InputError, InternalInconsistencyError, PremiseError, _int
+from .core import Fields, InputError, InternalInconsistencyError, PremiseError, _int
 from .groups import FiniteAbelianGroup
 
 
@@ -262,10 +262,12 @@ def table_group(table, labels=None) -> FiniteGroup:
     )
 
 
-def group_coloring(group: FiniteGroup, descriptor) -> Callable[[int], int]:
-    """Coloring of element indices from {formula, colors, seed}."""
-    formula = descriptor.get("formula", "constant")
-    ncolors = _int(descriptor.get("colors", 1), "colors")
+def group_coloring(group: FiniteGroup, descriptor, seed=None) -> Callable[[int], int]:
+    """Coloring of element indices from a {formula, colors, seed} mapping or
+    ``core.Fields`` reader; its seed defaults to ``seed`` and may not contradict it."""
+    c = descriptor if isinstance(descriptor, Fields) else Fields(descriptor, "coloring")
+    formula = c("formula", None, "constant")
+    ncolors = c("colors", _int, 1)
     if ncolors < 1:
         raise InputError(f"color count must be >= 1, got {ncolors}")
     if formula == "constant":
@@ -273,7 +275,7 @@ def group_coloring(group: FiniteGroup, descriptor) -> Callable[[int], int]:
     if formula == "mod":
         return lambda i: i % ncolors
     if formula == "seeded-uniform":
-        seed = _int(descriptor.get("seed", 0), "seed")
+        seed = c.seed(seed)
         return lambda i: random.Random(f"{seed}:{i}").randrange(ncolors)
     raise InputError(f"unknown coloring formula {formula!r}")
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
-from .core import GroundSet, HullOracle, InputError, MatroidInstance, _int
+from .core import Fields, GroundSet, HullOracle, InputError, MatroidInstance, _int, _int_rows, _ints
 from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
 
@@ -248,56 +249,41 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
     return MatroidInstance.build(GroundSet(tuple(labels)), oracle, flagged, values)
 
 
-def matroid_from_spec(mapping) -> MatroidInstance:
-    """Build an instance from a parsed description (see the CLI spec files)."""
-    if not isinstance(mapping, dict):
-        raise InputError(f"matroid spec must be a mapping, got {type(mapping).__name__}")
-    kind = mapping.get("kind")
+def matroid_from_spec(spec) -> MatroidInstance:
+    """Build an instance from a parsed description (see the CLI spec files).
+
+    ``spec`` is a mapping or a ``core.Fields`` reader over one, which then
+    records the fields read: integers cast, rationals as written.
+    """
+    f = spec if isinstance(spec, Fields) else Fields(spec, "matroid spec")
+    kind = f("kind")
     if kind == "vector_fp":
-        p = _field(mapping, "p")
-        if "dim" in mapping:
-            return build_vector_matroid(VectorMatroidSpec("fp", p=p, dim=_field(mapping, "dim")))
-        vectors = _rows(mapping, "vectors", _int)
-        return build_vector_matroid(VectorMatroidSpec("fp", p=p, vectors=vectors))
+        p = f("p", _int)
+        if "dim" in f:
+            return build_vector_matroid(VectorMatroidSpec("fp", p=p, dim=f("dim", _int)))
+        return build_vector_matroid(VectorMatroidSpec("fp", p=p, vectors=f("vectors", _int_rows)))
     if kind == "vector_q":
-        vectors = _rows(mapping, "vectors", lambda c, what: parse_rational(c))
+        rows = f("vectors", partial(_int_rows, item=lambda c, what: c))
+        vectors = [[parse_rational(c) for c in row] for row in rows]
         return build_vector_matroid(VectorMatroidSpec("q", vectors=vectors))
     if kind == "graphic":
-        if "complete" in mapping:
-            return build_graphic_matroid(GraphSpec(_field(mapping, "complete")))
-        n = _field(mapping, "vertices")
-        edges = _rows(mapping, "edges", _int)
-        return build_graphic_matroid(GraphSpec(n, edges))
+        if "complete" in f:
+            return build_graphic_matroid(GraphSpec(f("complete", _int)))
+        return build_graphic_matroid(GraphSpec(f("vertices", _int), f("edges", _int_rows)))
     if kind == "abelian":
-        orders = _field(mapping, "orders", lambda orders, what: tuple(_int(n, what) for n in orders))
-        return build_abelian_linear_matroid(FiniteAbelianGroup(orders))
+        return build_abelian_linear_matroid(FiniteAbelianGroup(tuple(f("orders", _ints))))
     if kind in ("integer_subgroup", "integer_linear"):
-        return build_integer_hull(IntegerHullSpec(_field(mapping, "window"), kind.split("_")[1]))
+        return build_integer_hull(IntegerHullSpec(f("window", _int), kind.split("_")[1]))
     raise InputError(
         f"unknown matroid kind {kind!r}; expected one of vector_fp, vector_q, "
         "graphic, abelian, integer_subgroup, integer_linear"
     )
 
 
-def _field(mapping, name, caster=_int):
-    if name not in mapping:
-        raise InputError(f"matroid spec kind {mapping.get('kind')!r} is missing field {name!r}")
-    try:
-        return caster(mapping[name], f"field {name!r}")
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"field {name!r}: {exc}") from None
-
-
-def _rows(mapping, name, caster):
-    return _field(
-        mapping, name, lambda rows, what: tuple(tuple(caster(c, what) for c in row) for row in rows)
-    )
-
-
 def parse_rational(text) -> Fraction:
     """Exact rational from an int or a "p/q" string."""
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        raise InputError(f"bad rational {text!r}: expected an integer or a 'p/q' string")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

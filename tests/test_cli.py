@@ -1,7 +1,9 @@
 import enum
+import itertools
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hullcover import cli
+from hullcover.core import Fields
 
 
 def write_json(path, payload):
@@ -236,6 +239,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "vector_fp", "p": 2, "vectors": [[1, "x"]]},
         {"kind": "vector_fp", "p": 2, "vectors": [1, 0]},
         {"kind": "vector_q", "vectors": [[None]]},
+        # a rational is an int or a "p/q" string, never a float or a boolean
+        {"kind": "vector_q", "vectors": [[0.1, 1], [1, 0]]},
+        {"kind": "vector_q", "vectors": [[True, 0], [1, 1]]},
         {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [2]]},
         {"kind": "graphic", "vertices": 3, "edges": [[0, "y"]]},
         {"kind": "graphic", "vertices": 3, "edges": [4]},
@@ -316,6 +322,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     for coloring in colorings:
         path = write_json(tmp_path / "coloring.json", coloring)
         assert run(["rectangle", path, "--size", "2", "--out", tmp_path / "c.json"]) == 2, coloring
+    # a coloring file's seed may not contradict --seed
+    seeded = write_json(tmp_path / "seeded.json", {**colorings[-1], "seed": 3})
+    assert run(["rectangle", seeded, "--size", "2", "--seed", "9", "--out", tmp_path / "c.json"]) == 2
     groups = [5, {"cyclic": "q"}, {"orders": [2, "z"]}, {"table": [[0, 1], [1, "a"]]}]
     for group in groups:
         path = write_json(tmp_path / "group.json", group)
@@ -326,9 +335,10 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert run(["prefix-color", "2", "--out", out]) == 2, out
     assert not list(tmp_path.glob(".*.tmp"))
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + len(groups) + 3
+    expected = 3 + len(bad_specs) + 6 + 2 + len(manifests) + len(colorings) + 1 + len(groups) + 3
     assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
+    assert "hullcover: error: coloring seed 3 contradicts --seed 9" in errors
 
 
 def test_integer_string_seeds_are_recorded_as_integers(tmp_path):
@@ -367,6 +377,91 @@ def test_golden_outputs_are_reproducible(tmp_path, template, spec):
     # re-running the embedded manifest reproduces the document byte for byte
     assert run(["rerun", first, "--out", third]) == code
     assert first.read_bytes() == third.read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXTRA_MANIFESTS = {
+    "vector_q": {
+        "subcommand": "partition",
+        "parameters": {
+            "spec": {"kind": "vector_q", "vectors": [["1/2", 0, 1], [1, "3", 0], [0, 0, "-2/3"], [1, 3, "0"]]},
+            "basis": [0, 1, 2],
+        },
+        "seed": None,
+    },
+    "graphic-edges": {
+        "subcommand": "check-axioms",
+        "parameters": {
+            "spec": {"kind": "graphic", "vertices": 5, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 2]]},
+            "budget": {"mode": "sampled", "max_subset_size": 3, "seed": 4, "count": 30},
+        },
+        "seed": 4,
+    },
+}
+MANIFESTS = sorted(p.name for p in GOLDEN.glob("*.json")) + sorted(EXTRA_MANIFESTS)
+
+
+def _non_canonical(value, rng, forms):
+    """``value`` with each integer an integer string or an integral float, and
+    keys shuffled; a vector_q spec keeps its entries as written."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        keep = {"vectors"} if value.get("kind") == "vector_q" else set()
+        return {k: value[k] if k in keep else _non_canonical(value[k], rng, forms) for k in keys}
+    if isinstance(value, list):
+        return [_non_canonical(v, rng, forms) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return next(forms)(value)
+    return value
+
+
+def _rerun(tmp_path, name, manifest):
+    out = tmp_path / f"{name}.out.json"
+    code = run(["rerun", write_json(tmp_path / f"{name}.json", {"manifest": manifest}), "--out", out])
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("name", MANIFESTS)
+def test_rerun_of_a_rewritten_manifest_is_byte_identical(tmp_path, name):
+    if name in EXTRA_MANIFESTS:
+        manifest = EXTRA_MANIFESTS[name]
+    else:
+        manifest = load(GOLDEN / name)["manifest"]
+    manifest = {k: manifest[k] for k in ("subcommand", "parameters", "seed")}
+    forms = itertools.cycle((str, float))
+    rewritten = _non_canonical(manifest, random.Random(name), forms)
+    assert json.dumps(rewritten, sort_keys=True) != json.dumps(manifest, sort_keys=True)
+
+    code, plain = _rerun(tmp_path, "plain", manifest)
+    assert code in (0, 3)
+    assert _rerun(tmp_path, "rewritten", rewritten) == (code, plain)
+
+
+def test_reruns_record_parameters_as_read(tmp_path):
+    # a coloring seed written as a string reruns as the integer seed
+    seeded = {"formula": "seeded-uniform", "colors": 2}
+    as_text, as_int = (
+        _rerun(tmp_path, f"quad{i}", {"subcommand": "quad", "parameters": {
+            "group": {"cyclic": 31}, "coloring": {**seeded, "seed": seed}}})
+        for i, seed in enumerate(("1", 1))
+    )
+    assert as_text == as_int and as_text[0] == 0
+    assert json.loads(as_text[1])["manifest"]["parameters"]["coloring"]["seed"] == 1
+
+    # a spec field written as a string is recorded as the integer, as a fresh run has it
+    fresh = tmp_path / "fresh.json"
+    k4 = write_json(tmp_path / "k4.json", {"kind": "graphic", "complete": 4})
+    assert run(["check-axioms", k4, "--out", fresh]) == 0
+    budget = {"mode": "exhaustive", "max_subset_size": 3}
+    manifest = {"subcommand": "check-axioms", "parameters": {
+        "spec": {"kind": "graphic", "complete": "4"}, "budget": budget}}
+    assert _rerun(tmp_path, "k4", manifest) == (0, fresh.read_bytes())
+
+    # defaults are filled in: {"k": "2"} is what prefix-color 2 records
+    assert run(["prefix-color", "2", "--out", fresh]) == 0
+    manifest = {"subcommand": "prefix-color", "parameters": {"k": "2"}}
+    assert _rerun(tmp_path, "k2", manifest) == (0, fresh.read_bytes())
 
 
 def test_rerun_rejects_foreign_documents(tmp_path):
@@ -492,8 +587,8 @@ def test_writer_refuses_what_json_dumps_refuses(tmp_path, value):
 
 
 def _patched_runner(monkeypatch, subcommand, result):
-    _, required, parse = cli._SUBCOMMANDS[subcommand]
-    monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (lambda params: result, required, parse))
+    _, parse = cli._SUBCOMMANDS[subcommand]
+    monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (lambda params, seed: result, parse))
 
 
 def test_unencodable_payload_leaves_the_output_untouched(tmp_path, monkeypatch):
@@ -508,7 +603,7 @@ def test_unencodable_payload_leaves_the_output_untouched(tmp_path, monkeypatch):
 
 def test_writing_a_document_holds_less_than_its_text(tmp_path, monkeypatch):
     # the document is built before tracing starts, so the peak is the writer's own
-    result = cli._run_prefix_color({"k": 8})
+    result = cli._run_prefix_color(Fields({"k": 8}, "parameters"), None)
     _patched_runner(monkeypatch, "prefix-color", result)
     out = tmp_path / "doc.json"
     tracemalloc.start()
