@@ -33,6 +33,7 @@ from .core import (
     InputError,
     InternalInconsistencyError,
     PremiseError,
+    _bool,
     _int,
     _int_rows,
     _ints,
@@ -167,6 +168,8 @@ def _run_check_axioms(f, seed):
     budget = Budget(
         b("mode"), b("max_subset_size", _int), b("seed", _int, None), b("count", _int, None)
     )
+    if seed is not None and budget.seed not in (None, seed):
+        raise InputError(f"budget seed {budget.seed} contradicts --seed {seed}")
     reports = [check_hull_axioms(M, budget), check_idempotent(M, budget), check_exchange(M, budget)]
     entries = []
     verdicts = {}
@@ -246,7 +249,7 @@ def _run_prefix_color(f, seed):
     }
     code = EXIT_OK
     verdicts = {}
-    if f("verify", None, False):
+    if f("verify", _bool, False):
         report = verify_no_monochrome_odd_cycle(coloring)
         payload["odd_cycle_check"] = {
             "ok": report.ok,

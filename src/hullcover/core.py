@@ -52,6 +52,13 @@ def _int(value, what):
     return cast
 
 
+def _bool(value, what):
+    """``value`` when it is JSON ``true`` or ``false``; InputError for anything else."""
+    if not isinstance(value, bool):
+        raise InputError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
 def _ints(values, what, depth=1, item=_int):
     """A JSON list of ``item(value, what)``, or of such lists when ``depth`` is 2."""
     if not isinstance(values, list):

@@ -8,15 +8,19 @@ not a matroid, and the division hull, which is.
 
 Every backend has one shape: ``span(F)`` prepares F once (an elimination, a
 union-find, a gcd or nonzero flag, or the ``groups.division_test`` of the
-abelian hull) and returns the test ``x in <F>``.  ``_member`` turns it into
-the oracle's ``member(x, F)`` and reuses the last prepared span while
-consecutive calls pass an equal F, as ``closure`` does; the bounded memo
-behind ``core.closure`` is the only memo of hull work.
+abelian hull) and returns the test ``x in <F>``.  An F_p span with fewer
+vectors than the ground set (p^rank < n) lists itself once, so its test is a
+lookup and the listing costs no more than the n tests of one closure; a
+larger one, like every span over Q, reduces x against the pivots.
+``_member`` turns the test into the oracle's ``member(x, F)`` and reuses the
+last prepared span while consecutive calls pass an equal F, as ``closure``
+does; the bounded memo behind ``core.closure`` is the only memo of hull work.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -114,8 +118,8 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         p = spec.p
         if not is_prime(p):
             raise InputError(f"field size must be prime, got {p}")
-        if spec.dim < 0:
-            raise InputError(f"dim must be >= 0, got {spec.dim}")
+        if not 0 <= spec.dim <= sys.maxsize:
+            raise InputError(f"dim must be in 0..{sys.maxsize}, got {spec.dim}")
         if spec.dim:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
@@ -130,6 +134,14 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
 
     def span(F, vecs=tuple(vectors), p=p):
         pivots = _eliminate([vecs[i] for i in sorted(F)], p)
+        if p and p ** len(pivots) < len(vecs):
+            # listing p^rank vectors costs less than the n reductions of one closure
+            members = {(0,) * len(vecs[0])}
+            for _, prow in pivots:
+                members = {
+                    tuple([(a + c * b) % p for a, b in zip(m, prow)]) for m in members for c in range(p)
+                }
+            return lambda x: vecs[x] in members
         return lambda x: not any(_reduce(pivots, vecs[x], p))
 
     dims = {len(v) for v in vectors}
@@ -143,8 +155,8 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
 def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
     """Connectivity oracle on edge subsets; independent sets are the forests."""
     n = spec.vertices
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    if not 1 <= n <= sys.maxsize:
+        raise InputError(f"vertex count must be in 1..{sys.maxsize}, got {n}")
     if spec.edges is None:
         edges = list(itertools.combinations(range(n), 2))
     else:

@@ -110,6 +110,10 @@ def test_check_axioms_sampled_budget(tmp_path, vec_spec):
     doc = load(out)
     assert doc["manifest"]["parameters"]["budget"]["seed"] == 9
     assert "sampled(seed=9" in doc["axioms"]["reports"][0]["budget"]
+    # the budget seed agrees with the top-level one, so the rerun goes through
+    again = tmp_path / "again.json"
+    assert run(["rerun", out, "--out", again]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 # --- rectangle ----------------------------------------------------------------------
@@ -252,6 +256,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "vector_fp", "p": 2.9, "dim": 2},
         {"kind": "integer_linear", "window": 5.5},
         {"kind": "graphic", "vertices": 3, "edges": [[0, 1.5], [1, 2]]},
+        # sizes no index can hold are refused, not left to overflow
+        {"kind": "graphic", "complete": 10**30},
+        {"kind": "vector_fp", "p": 2, "dim": 10**30},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -279,6 +286,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {}}},
         {"subcommand": "prefix-color", "parameters": {"k": "x"}},
         {"subcommand": "prefix-color", "parameters": {"k": 2, "limit": [1]}},
+        # verify is JSON true or false, never a string or number read as truthy
+        {"subcommand": "prefix-color", "parameters": {"k": 2, "verify": "false"}},
+        {"subcommand": "prefix-color", "parameters": {"k": 2, "verify": 1}},
         {"subcommand": "rectangle", "parameters": {"coloring": {"x_size": 3, "y_size": 6}, "size": "z"}},
         {"subcommand": "rectangle", "parameters": {"coloring": mod_coloring, "size": 2.5}},
         {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {"colors": "c"}}},
@@ -302,6 +312,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
             "sampled:5",
             None,
         )
+    ] + [
+        # a budget seed may not contradict the top-level seed
+        {**manifest, "seed": 7, "parameters": {**manifest["parameters"], "budget": budget}},
     ]
     for i, bad in enumerate(manifests):
         path = write_json(tmp_path / f"manifest{i}.json", {"manifest": bad})
@@ -339,6 +352,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert len(errors) == expected
     assert all(line.startswith("hullcover: error: ") for line in errors)
     assert "hullcover: error: coloring seed 3 contradicts --seed 9" in errors
+    assert "hullcover: error: budget seed 0 contradicts --seed 7" in errors
 
 
 def test_integer_string_seeds_are_recorded_as_integers(tmp_path):

@@ -107,6 +107,9 @@ def test_vector_spec_validation():
     # a non-integral entry is refused, not truncated to 1
     with pytest.raises(InputError):
         build_vector_matroid(VectorMatroidSpec("fp", p=2, vectors=((1.5, 0),)))
+    # a dimension no index can hold is refused before the space is listed
+    with pytest.raises(InputError, match="dim must be in"):
+        build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=10**30))
 
 
 # --- graphic matroids --------------------------------------------------------
@@ -144,6 +147,10 @@ def test_graph_spec_validation():
     # a non-integral endpoint is refused, not truncated to vertex 1
     with pytest.raises(InputError):
         build_graphic_matroid(GraphSpec(3, ((0, 1.5), (1, 2))))
+    # a vertex count no index can hold is refused, with or without edges
+    for spec in (GraphSpec(10**30), GraphSpec(10**30, ((0, 1),))):
+        with pytest.raises(InputError, match="vertex count must be in"):
+            build_graphic_matroid(spec)
 
 
 # --- abelian division hull ---------------------------------------------------
@@ -372,6 +379,31 @@ def test_graphic_closure_and_rank_match_networkx():
         component = {v: c for c, part in enumerate(nx.connected_components(H)) for v in part}
         expected = {i for i, (u, v) in enumerate(edges) if component[u] == component[v]}
         assert closure(M, F) == expected
+
+
+def test_fp_spans_listed_or_reduced_match_elimination():
+    # a span with fewer vectors than the ground set is listed, a larger one
+    # reduces each x: both must agree with reducing x against F's pivots
+    rng = random.Random(12)
+    sides = {(p, listed): 0 for p in (2, 3, 5, 7) for listed in (True, False)}
+    for p in (2, 3, 5, 7):
+        for d in range(1, 6):
+            specs = [VectorMatroidSpec("fp", p=p, dim=d)] if p**d <= 243 else []
+            for _ in range(6):
+                rows = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(rng.randint(1, 16))]
+                rows += [(0,) * d] + rng.choices(rows, k=2)  # the zero vector and repeats
+                specs.append(VectorMatroidSpec("fp", p=p, vectors=tuple(rows)))
+            for spec in specs:
+                M = build_vector_matroid(spec)
+                vecs = M.objects
+                for _ in range(6):
+                    F = frozenset(rng.sample(range(len(vecs)), rng.randint(0, min(len(vecs), 5))))
+                    pivots = zoo._eliminate([vecs[i] for i in sorted(F)], p)
+                    sides[p, p ** len(pivots) < len(vecs)] += 1
+                    for x in range(len(vecs)):
+                        expected = not any(zoo._reduce(pivots, vecs[x], p))
+                        assert M.oracle.member(x, F) == expected, (p, vecs, sorted(F), x)
+    assert all(sides.values()), sides
 
 
 def test_rational_rank_and_span_match_sympy():
