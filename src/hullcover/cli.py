@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import platform
 import stat
 import sys
 import time
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -303,15 +305,111 @@ def _run_group(f, seed):
 # ---------------------------------------------------------------------------
 # the document writer
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
-# the encoder yields tokens of a few bytes each; joined this many to a write
-# call, the calls cost less than the encoding, and the text held stays small
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar of each exact type, spelled as json.encoder spells it
+# (on an exact int, repr is int.__repr__, and the faster call)
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(o):
+    """``o``'s text as ``json.dumps`` writes a scalar, or None when ``o`` is not one."""
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        return text(o)
+    # subclasses (an IntEnum) are written as their base type, as json.encoder does
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _shared_text(kinds):
+    """The text function of the exact scalar type that is all of ``kinds``, else None."""
+    return _SCALAR_TEXT.get(*kinds) if len(kinds) == 1 else None
+
+
+def _chunks(o, pad=""):
+    """Yield the text of ``json.dumps(o, indent=2, sort_keys=True)``, nested ``pad`` deep.
+
+    A list or tuple whose items share one exact scalar type is one chunk,
+    joined at once; a list of such lists is one chunk per item.  Everything
+    else recurses, and what ``json.dumps`` refuses raises ``TypeError``.
+    """
+    text = _scalar_text(o)
+    if text is not None:
+        yield text
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, o))
+        if text := _shared_text(kinds):
+            yield f"[\n{inner}{sep.join(map(text, o))}\n{pad}]"
+            return
+        head = "[\n" + inner
+        if kinds <= {list, tuple} and all(o) and (text := _shared_text(set(map(type, chain.from_iterable(o))))):
+            deeper = inner + "  "
+            start, item_sep, end = "[\n" + deeper, ",\n" + deeper, f"\n{inner}]"
+            for row in o:
+                yield f"{head}{start}{item_sep.join(map(text, row))}{end}"
+                head = sep
+        else:
+            for item in o:
+                yield head
+                yield from _chunks(item, inner)
+                head = sep
+        yield f"\n{pad}]"
+    elif isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = pad + "  "
+        head = "{\n" + inner
+        for key, value in sorted(o.items()):
+            if isinstance(key, str):
+                key = encode_basestring_ascii(key)
+            elif (text := _scalar_text(key)) is not None:
+                key = f'"{text}"'
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            yield f"{head}{key}: "
+            yield from _chunks(value, inner)
+            head = ",\n" + inner
+        yield f"\n{pad}}}"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+# a chunk is a scalar, a flat list or one item of a list of flat lists; joined
+# this many to a write call, the calls cost less than the rendering, and the
+# text held stays small
 _CHUNKS_PER_WRITE = 4096
 
 
 def _write_text(document, out):
     """Write ``document``'s text and a final newline to ``out``; return its length."""
-    chunks = chain(_ENCODER.iterencode(document), "\n")
+    chunks = chain(_chunks(document), "\n")
     size = 0
     while batch := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
         size += out.write(batch)
@@ -322,7 +420,7 @@ def _write_document(document, out_path):
     """Write ``document`` to ``out_path`` (stdout when empty); return the bytes written.
 
     The text is that of ``json.dumps(document, indent=2, sort_keys=True)`` and
-    a final newline, written as the encoder yields it, so it is never held
+    a final newline, written as ``_chunks`` renders it, so it is never held
     whole.  A new or regular file is written whole: into a temporary file
     beside the resolved target, which takes the target's mode (and owner,
     where allowed) and replaces it only once complete; any other existing

@@ -11,6 +11,7 @@ and the ``abelian`` oracle of ``hullcover.zoo`` both call it.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -50,8 +51,8 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         orders = tuple(_int(n, "cyclic order") for n in self.orders)
-        if any(n < 2 for n in orders):
-            raise InputError(f"cyclic orders must all be >= 2, got {orders}")
+        if not all(2 <= n <= sys.maxsize for n in orders):
+            raise InputError(f"cyclic orders must all be in 2..{sys.maxsize}, got {orders}")
         object.__setattr__(self, "orders", orders)
 
     @cached_property

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from math import comb
@@ -205,8 +206,8 @@ class FiniteGroup:
 
 
 def cyclic_group(m: int) -> FiniteGroup:
-    if m < 1:
-        raise InputError(f"cyclic order must be >= 1, got {m}")
+    if not 1 <= m <= sys.maxsize:
+        raise InputError(f"cyclic order must be in 1..{sys.maxsize}, got {m}")
     return FiniteGroup(
         [str(i) for i in range(m)],
         lambda a, b: (a + b) % m,

@@ -232,8 +232,8 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
     variant is a matroid of rank one.
     """
     N = spec.window
-    if N < 3:
-        raise InputError(f"window must be >= 3, got {N}")
+    if not 3 <= N <= sys.maxsize:
+        raise InputError(f"window must be in 3..{sys.maxsize}, got {N}")
     if spec.variant not in ("subgroup", "linear"):
         raise InputError(f"unknown integer hull variant {spec.variant!r}")
     values = [0]

@@ -1,4 +1,6 @@
 import enum
+import errno
+import io
 import itertools
 import json
 import math
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hullcover import cli
-from hullcover.core import Fields
+from hullcover.core import Fields, InputError
 
 
 def write_json(path, payload):
@@ -259,6 +261,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         # sizes no index can hold are refused, not left to overflow
         {"kind": "graphic", "complete": 10**30},
         {"kind": "vector_fp", "p": 2, "dim": 10**30},
+        {"kind": "abelian", "orders": [10**30]},
+        {"kind": "integer_linear", "window": 10**30},
+        {"kind": "integer_subgroup", "window": 10**30},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -338,7 +343,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     # a coloring file's seed may not contradict --seed
     seeded = write_json(tmp_path / "seeded.json", {**colorings[-1], "seed": 3})
     assert run(["rectangle", seeded, "--size", "2", "--seed", "9", "--out", tmp_path / "c.json"]) == 2
-    groups = [5, {"cyclic": "q"}, {"orders": [2, "z"]}, {"table": [[0, 1], [1, "a"]]}]
+    groups = [5, {"cyclic": "q"}, {"orders": [2, "z"]}, {"table": [[0, 1], [1, "a"]]},
+              {"cyclic": 10**30}, {"orders": [10**30]}]
     for group in groups:
         path = write_json(tmp_path / "group.json", group)
         assert run(["quad", path, "--colors", "1", "--out", tmp_path / "q.json"]) == 2, group
@@ -600,6 +606,110 @@ def test_writer_refuses_what_json_dumps_refuses(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
+class Record(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+# scalars grouped by exact type, so a list drawn from one group is flat
+SCALARS = {
+    "int": [0, 1, -7, 2**70],
+    "float": [-0.0, 0.5, 1e300, -1e-300, math.nan, math.inf, -math.inf],
+    "str": ["", "a", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028"],
+    "bool": [True, False],
+    "none": [None],
+}
+# an int subclass and bools among ints: not flat, so they take the recursive path
+SCALARS["mixed"] = [*SCALARS["int"], Level.LOW, True, False]
+# each group sorts among itself, as json.dumps needs for sort_keys
+KEYS = [["b", "a", "\u00e9", "z\u2028", ""], [3, 2.5, True, -0.0, math.inf, Level.LOW, -1], [None]]
+
+
+def _random_document(rng, depth):
+    shape = rng.choice(["scalar", "flat", "mixed", "rows", "nested", "dict"] if depth else ["scalar", "flat"])
+    if shape == "scalar":
+        return rng.choice(rng.choice(list(SCALARS.values())))
+    sequence = rng.choice([list, tuple, Row])
+    if shape in ("flat", "mixed"):
+        pool = SCALARS["mixed" if shape == "mixed" else rng.choice(list(SCALARS))]
+        return sequence(rng.choice(pool) for _ in range(rng.randrange(4)))
+    if shape == "rows":
+        pool = rng.choice(list(SCALARS.values()))
+        return sequence(
+            rng.choice([list, tuple])(rng.choice(pool) for _ in range(rng.choice([0, 1, 3, 3])))
+            for _ in range(rng.randrange(5))
+        )
+    if shape == "nested":
+        return sequence(_random_document(rng, depth - 1) for _ in range(rng.randrange(4)))
+    mapping = rng.choice([dict, Record])
+    group = rng.choice(KEYS)
+    keys = rng.sample(group, rng.randrange(len(group) + 1))
+    return mapping((key, _random_document(rng, depth - 1)) for key in keys)
+
+
+def test_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(13)
+    for i in range(400):
+        document = _random_document(rng, rng.randrange(6))
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        out = io.StringIO()
+        assert cli._write_text(document, out) == len(expected), document
+        assert out.getvalue() == expected, document
+        # a value or a key json.dumps refuses, put anywhere in the document, is refused
+        for refused in ({"x": {1, 2}}, {(1,): 2}):
+            spoiled = [document, refused] if i % 2 else {"a": document, "b": [refused]}
+            with pytest.raises(TypeError):
+                json.dumps(spoiled, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                cli._write_text(spoiled, io.StringIO())
+
+
+class _FillingDisk:
+    """The writer's temporary file, failing with ENOSPC once ``room`` write calls are spent."""
+
+    def __init__(self, real, room, calls):
+        self.real, self.room, self.calls = real, room, calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.real.close()
+
+    def fileno(self):
+        return self.real.fileno()
+
+    def write(self, text):
+        if len(self.calls) == self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.calls.append(len(text))
+        return self.real.write(text)
+
+
+ROWS = [[i, -i] for i in range(2 * cli._CHUNKS_PER_WRITE)]
+
+
+@pytest.mark.parametrize("document,room,error,calls", [
+    ({"x": {1, 2}}, None, TypeError, 0),
+    # the rows fill two write calls before the set is reached
+    ({"a": ROWS, "x": {1, 2}}, None, TypeError, 2),
+    ({"a": ROWS}, 1, InputError, 1),
+], ids=["unencodable", "unencodable-mid-stream", "disk-full-mid-stream"])
+def test_a_failed_write_leaves_the_output_untouched(tmp_path, monkeypatch, document, room, error, calls):
+    written = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FillingDisk(open(*a, **k), room, written), raising=False)
+    out = tmp_path / "doc.json"
+    out.write_text("the previous document\n")
+    with pytest.raises(error):
+        cli._write_document(document, out)
+    assert len(written) == calls
+    assert out.read_bytes() == b"the previous document\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 def _patched_runner(monkeypatch, subcommand, result):
     _, parse = cli._SUBCOMMANDS[subcommand]
     monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (lambda params, seed: result, parse))
@@ -627,7 +737,7 @@ def test_writing_a_document_holds_less_than_its_text(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size
-    # written in many batches of the encoder's chunks, the text is still json.dumps's
+    # written in many batches of chunks, the text is still json.dumps's
     key, payload = result[:2]
     document = json.loads(out.read_text())
     assert document[key] == json.loads(json.dumps(payload))
