@@ -52,6 +52,14 @@ def _int(value, what):
     return cast
 
 
+# The most items (group elements or multiples, edges, vectors, vertices,
+# window values) an input may make a construction list.  Listing 2^20 of
+# them takes 0.3-5 s and 140-360 MB of Python objects (F_2^20's vectors the
+# most; one x86-64 core, Python 3.11); far beyond that a run ends in
+# MemoryError or runs until killed, so the count is checked first.
+_MAX_LISTED = 1 << 20
+
+
 def _bool(value, what):
     """``value`` when it is JSON ``true`` or ``false``; InputError for anything else."""
     if not isinstance(value, bool):

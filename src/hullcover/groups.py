@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .core import InputError, InternalInconsistencyError, _int
+from .core import InputError, InternalInconsistencyError, _MAX_LISTED, _int
 
 
 def _prime_factors(n: int) -> dict:
@@ -65,11 +65,18 @@ class FiniteAbelianGroup:
 
     @cached_property
     def elements(self) -> tuple:
+        if self.order > _MAX_LISTED:
+            raise InputError(f"group order {self.order} exceeds the {_MAX_LISTED} elements one run may list")
         return tuple(itertools.product(*(range(n) for n in self.orders)))
 
     @cached_property
     def multiples(self) -> tuple:
         """``multiples[i]``: n * elements[i] for n = 1, ..., exponent."""
+        if self.order * self.exponent > _MAX_LISTED:
+            raise InputError(
+                f"order {self.order} times exponent {self.exponent} exceeds the {_MAX_LISTED} "
+                "multiples one run may list"
+            )
         return tuple(
             tuple(self.scalar(n, e) for n in range(1, self.exponent + 1)) for e in self.elements
         )

@@ -16,18 +16,43 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .core import Fields, InputError, InternalInconsistencyError, PremiseError, _int
+from .core import Fields, InputError, InternalInconsistencyError, PremiseError, _MAX_LISTED, _int
 from .groups import FiniteAbelianGroup
 
 
 # ---------------------------------------------------------------------------
 # product colorings and monochrome rectangles
+
+
+def _seeded_draws(ncolors) -> Callable[[str, int], tuple]:
+    """``draws(key, count)``: the first ``count`` values of
+    ``random.Random(key).randrange(ncolors)``.
+
+    One generator is reseeded with the key on every call, and each value is
+    drawn as ``randrange`` draws it: ``getrandbits(ncolors.bit_length())``,
+    rejecting values >= ncolors.  String keys hash identically across
+    platforms and versions.  The generator is shared, so one ``draws`` must
+    not run in two threads at once.
+    """
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    k = ncolors.bit_length()
+
+    def draws(key, count):
+        reseed(key)
+        out = []
+        while len(out) < count:
+            r = getrandbits(k)
+            if r < ncolors:
+                out.append(r)
+        return tuple(out)
+
+    return draws
 
 
 class ProductColoring:
@@ -75,13 +100,9 @@ class ProductColoring:
 
     @classmethod
     def seeded_uniform(cls, nx, ny, ncolors, seed):
-        seed = _int(seed, "seed")
-        # string seeds hash identically across platforms and versions
-        def row(y):
-            rng = random.Random(f"{seed}:{y}")
-            return tuple(rng.randrange(ncolors) for _ in range(nx))
-
-        return cls(nx, ny, ncolors, row, {"formula": "seeded-uniform", "seed": seed})
+        seed, draws = _int(seed, "seed"), _seeded_draws(ncolors)
+        descriptor = {"formula": "seeded-uniform", "seed": seed}
+        return cls(nx, ny, ncolors, lambda y: draws(f"{seed}:{y}", nx), descriptor)
 
     @classmethod
     def from_function(cls, nx, ny, ncolors, fn, descriptor):
@@ -126,16 +147,15 @@ def fiber_bound(coloring: ProductColoring, lam) -> int:
 
 
 def _least_monochrome_positions(row, lam):
-    positions = defaultdict(list)
-    for i, c in enumerate(row):
-        positions[c].append(i)
-    best = None
-    for c, pos in positions.items():
-        if len(pos) >= lam:
-            cand = (tuple(pos[:lam]), c)
-            if best is None or cand < best:
-                best = cand
-    return best
+    """The least (first lam positions of c, c) over colors c with lam cells, or None.
+
+    Distinct colors' positions differ in their first entry, so the least
+    pair belongs to the first-seen color that occurs lam times.
+    """
+    for c in dict.fromkeys(row):
+        if row.count(c) >= lam:
+            return tuple([i for i, v in enumerate(row) if v == c][:lam]), c
+    return None
 
 
 def monochrome_rectangle(coloring: ProductColoring, lam) -> Rectangle:
@@ -206,8 +226,8 @@ class FiniteGroup:
 
 
 def cyclic_group(m: int) -> FiniteGroup:
-    if not 1 <= m <= sys.maxsize:
-        raise InputError(f"cyclic order must be in 1..{sys.maxsize}, got {m}")
+    if not 1 <= m <= _MAX_LISTED:
+        raise InputError(f"cyclic order must be in 1..{_MAX_LISTED}, got {m}")
     return FiniteGroup(
         [str(i) for i in range(m)],
         lambda a, b: (a + b) % m,
@@ -276,8 +296,8 @@ def group_coloring(group: FiniteGroup, descriptor, seed=None) -> Callable[[int],
     if formula == "mod":
         return lambda i: i % ncolors
     if formula == "seeded-uniform":
-        seed = c.seed(seed)
-        return lambda i: random.Random(f"{seed}:{i}").randrange(ncolors)
+        seed, draws = c.seed(seed), _seeded_draws(ncolors)
+        return lambda i: draws(f"{seed}:{i}", 1)[0]
     raise InputError(f"unknown coloring formula {formula!r}")
 
 

@@ -20,13 +20,14 @@ does; the bounded memo behind ``core.closure`` is the only memo of hull work.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import comb, gcd
 
-from .core import Fields, GroundSet, HullOracle, InputError, MatroidInstance, _int, _int_rows, _ints
+from .core import (
+    Fields, GroundSet, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints,
+)
 from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
 
@@ -118,8 +119,10 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         p = spec.p
         if not is_prime(p):
             raise InputError(f"field size must be prime, got {p}")
-        if not 0 <= spec.dim <= sys.maxsize:
-            raise InputError(f"dim must be in 0..{sys.maxsize}, got {spec.dim}")
+        # p >= 2, so the bit length caps dim before p^dim is computed
+        top = _MAX_LISTED.bit_length() - 1
+        if not 0 <= spec.dim <= top or p**spec.dim > _MAX_LISTED:
+            raise InputError(f"dim must be in 0..{top} with {p}^dim at most {_MAX_LISTED}, got {spec.dim}")
         if spec.dim:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
@@ -155,9 +158,11 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
 def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
     """Connectivity oracle on edge subsets; independent sets are the forests."""
     n = spec.vertices
-    if not 1 <= n <= sys.maxsize:
-        raise InputError(f"vertex count must be in 1..{sys.maxsize}, got {n}")
+    if not 1 <= n <= _MAX_LISTED:
+        raise InputError(f"vertex count must be in 1..{_MAX_LISTED}, got {n}")
     if spec.edges is None:
+        if comb(n, 2) > _MAX_LISTED:
+            raise InputError(f"K_{n} has {comb(n, 2)} edges, more than the {_MAX_LISTED} one run may list")
         edges = list(itertools.combinations(range(n), 2))
     else:
         edges = []
@@ -232,8 +237,9 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
     variant is a matroid of rank one.
     """
     N = spec.window
-    if not 3 <= N <= sys.maxsize:
-        raise InputError(f"window must be in 3..{sys.maxsize}, got {N}")
+    # the window lists 2N + 1 values
+    if not 3 <= N <= (_MAX_LISTED - 1) // 2:
+        raise InputError(f"window must be in 3..{(_MAX_LISTED - 1) // 2}, got {N}")
     if spec.variant not in ("subgroup", "linear"):
         raise InputError(f"unknown integer hull variant {spec.variant!r}")
     values = [0]

@@ -25,6 +25,16 @@ JOBS = [
         ("zoo.oracle_calls.abelian", "groups.hull_memo_misses", "core.sweep_oracle_calls.exchange"),
     ),
     (["prefix-color", "3", "--verify"], None, ("ramsey.odd_cycle_verify_s", "ramsey.edges")),
+    (
+        ["rectangle", "SPEC", "--size", "2"],
+        {"x_size": 5, "y_size": 40, "colors": 2, "formula": "seeded-uniform", "seed": 7},
+        ("ramsey.rows_scanned", "ramsey.rectangle_s", "ramsey.verify_rectangle_s"),
+    ),
+    (
+        ["quad", "SPEC", "--colors", "2", "--formula", "seeded-uniform", "--seed", "7"],
+        {"cyclic": 101},
+        ("ramsey.coloring_calls", "ramsey.quad_s", "ramsey.rows_scanned"),
+    ),
 ]
 
 

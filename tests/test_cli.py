@@ -264,6 +264,14 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "abelian", "orders": [10**30]},
         {"kind": "integer_linear", "window": 10**30},
         {"kind": "integer_subgroup", "window": 10**30},
+        # sizes an index holds but memory does not are refused before anything is listed
+        {"kind": "integer_linear", "window": 10**18},
+        {"kind": "graphic", "complete": 10**5},
+        {"kind": "graphic", "vertices": 10**18, "edges": [[0, 1]]},
+        {"kind": "vector_fp", "p": 2, "dim": 64},
+        {"kind": "vector_fp", "p": 3, "dim": 13},
+        {"kind": "abelian", "orders": [10**9, 10**9]},
+        {"kind": "abelian", "orders": [1000003]},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -344,7 +352,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     seeded = write_json(tmp_path / "seeded.json", {**colorings[-1], "seed": 3})
     assert run(["rectangle", seeded, "--size", "2", "--seed", "9", "--out", tmp_path / "c.json"]) == 2
     groups = [5, {"cyclic": "q"}, {"orders": [2, "z"]}, {"table": [[0, 1], [1, "a"]]},
-              {"cyclic": 10**30}, {"orders": [10**30]}]
+              {"cyclic": 10**30}, {"orders": [10**30]}, {"cyclic": 10**18}, {"orders": [10**9, 10**9]}]
     for group in groups:
         path = write_json(tmp_path / "group.json", group)
         assert run(["quad", path, "--colors", "1", "--out", tmp_path / "q.json"]) == 2, group

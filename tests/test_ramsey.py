@@ -8,6 +8,8 @@ from hullcover.core import InputError, PremiseError
 from hullcover.groups import FiniteAbelianGroup
 from hullcover.partition import layered_partition
 from hullcover.ramsey import (
+    _least_monochrome_positions,
+    _seeded_draws,
     EdgeColoring,
     ProductColoring,
     Rectangle,
@@ -137,6 +139,53 @@ def test_seeded_uniform_rows_are_reproducible():
     a = ProductColoring.seeded_uniform(5, 7, 3, 42)
     b = ProductColoring.seeded_uniform(5, 7, 3, 42)
     assert [a.row(y) for y in range(7)] == [b.row(y) for y in range(7)]
+
+
+def seeded_reference(key, ncolors, count):
+    rng = random.Random(key)
+    return tuple(rng.randrange(ncolors) for _ in range(count))
+
+
+# negative and very large seeds besides ordinary ones
+SEEDS = [0, 1, -1, 2**64, -(2**64) - 1, 10**30] + [
+    random.Random(8).randrange(-(10**40), 10**40) for _ in range(6)
+]
+
+
+def test_seeded_draws_match_randrange():
+    rng = random.Random(14)
+    keys = [f"{rng.choice(SEEDS)}:{rng.randrange(10**6)}" for _ in range(200)]
+    # 1, powers of two and 2^k - 1 among the color counts
+    for ncolors in range(1, 18):
+        draws = _seeded_draws(ncolors)
+        for i, key in enumerate(keys):
+            expected = seeded_reference(key, ncolors, 12)
+            assert draws(key, 12) == expected, (key, ncolors)
+            assert draws(key, i % 13) == expected[: i % 13], (key, ncolors)
+
+
+def test_seeded_colorings_match_randrange():
+    for seed in SEEDS:
+        for ncolors in (1, 2, 3, 4, 7, 16, 17):
+            C = ProductColoring.seeded_uniform(9, 6, ncolors, seed)
+            for y in range(6):
+                assert C.row(y) == seeded_reference(f"{seed}:{y}", ncolors, 9)
+            chi = group_coloring(cyclic_group(40), {"formula": "seeded-uniform", "colors": ncolors, "seed": seed})
+            for i in range(40):
+                assert chi(i) == seeded_reference(f"{seed}:{i}", ncolors, 1)[0]
+
+
+def test_least_monochrome_positions_match_brute_force():
+    rng = random.Random(3)
+    for _ in range(2000):
+        row = tuple(rng.randrange(rng.randint(1, 5)) for _ in range(rng.randint(0, 12)))
+        lam = rng.randint(1, 5)
+        candidates = [
+            (tuple(i for i, v in enumerate(row) if v == c)[:lam], c)
+            for c in set(row)
+            if row.count(c) >= lam
+        ]
+        assert _least_monochrome_positions(row, lam) == min(candidates, default=None), (row, lam)
 
 
 def test_table_coloring_validation():
