@@ -35,6 +35,7 @@ from .core import (
     InputError,
     InternalInconsistencyError,
     PremiseError,
+    _MAX_LISTED,
     _bool,
     _int,
     _int_rows,
@@ -48,6 +49,7 @@ from .core import (
 from .groups import FiniteAbelianGroup, is_linearly_independent, n_torsion, primary_decomposition
 from .partition import layered_partition, verify_partition
 from .ramsey import (
+    _MAX_PREFIX_K,
     ProductColoring,
     cyclic_group,
     fiber_bound,
@@ -98,6 +100,8 @@ def _product_coloring(c, seed):
     if formula == "table":
         return ProductColoring.from_table(c("table", _int_rows), ncolors)
     nx, ny = c("x_size", _int), c("y_size", _int)
+    if nx * ny > _MAX_LISTED:
+        raise InputError(f"a {nx} x {ny} coloring has more than the {_MAX_LISTED} cells one run may list")
     if formula == "constant":
         return ProductColoring.constant(nx, ny, ncolors, c("value", _int, 0))
     if formula == "mod":
@@ -242,7 +246,7 @@ def _run_quad(f, seed):
 
 def _run_prefix_color(f, seed):
     k = f("k", _int)
-    coloring = prefix_coloring(k, f("limit", _int, 12))
+    coloring = prefix_coloring(k, f("limit", _int, _MAX_PREFIX_K))
     payload = {
         "k": k,
         "vertices": coloring.n,
@@ -537,8 +541,13 @@ def _from_manifest(source):
     return subcommand, m("parameters"), m("seed", _int, None)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, in subparsers too: they share the class
+        raise InputError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hullcover",
         description="Independent-class partitions, monochrome structure search, "
         "and finite abelian group reports, with reproducible JSON outputs.",
@@ -572,7 +581,7 @@ def _build_parser():
     p = sub.add_parser("prefix-color", help="first-differing-bit edge coloring of K_{2^k}")
     p.add_argument("k", type=int)
     p.add_argument("--verify", action="store_true", help="also run the odd-cycle check")
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=_MAX_PREFIX_K)
     p.add_argument("--out")
 
     p = sub.add_parser("group", help="finite abelian group reports")
@@ -590,8 +599,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "rerun":
             subcommand, params, seed = _from_manifest(args.source)
         else:

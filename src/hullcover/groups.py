@@ -165,6 +165,9 @@ def n_torsion(G: FiniteAbelianGroup, n: int) -> frozenset:
     """The subgroup of elements killed by n."""
     if n < 1:
         raise InputError(f"torsion index must be >= 1, got {n}")
+    size = prod(gcd(m, n) for m in G.orders)
+    if size > _MAX_LISTED:
+        raise InputError(f"the {n}-torsion has {size} elements, more than the {_MAX_LISTED} one run may list")
     per_coord = [range(0, m, m // gcd(m, n)) for m in G.orders]
     return frozenset(itertools.product(*per_coord))
 
@@ -182,72 +185,53 @@ class TorsionReport:
         return {p: len(c) for p, c in self.components.items()}
 
 
+def _sums(G: FiniteAbelianGroup, parts) -> set:
+    """Every sum of one element from each part, folded in one part at a time."""
+    sums = {G.zero}
+    for part in parts:
+        sums = {G.add(s, x) for s in sums for x in part}
+    return sums
+
+
 def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     """Split G into its p-power-order parts and verify the splitting is direct.
 
     The p-part is the p^e torsion subgroup for the largest p^e dividing the
-    exponent.  Verification enumerates all sums of one element per part and
-    checks they hit every group element exactly once.
+    exponent.  The splitting is direct when the part sizes multiply to |G|,
+    the sums of one element per part are |G| distinct elements, and two
+    parts share only zero.
     """
-    components = {}
-    for p, e in sorted(_prime_factors(G.order).items()):
-        ppart = _prime_factors(G.exponent).get(p, 0)
-        comp = sorted(n_torsion(G, p**ppart))
-        components[p] = tuple(comp)
-    sizes = prod(len(c) for c in components.values())
-    verified = sizes == G.order
-    if verified:
-        seen = set()
-        for combo in itertools.product(*components.values()):
-            total = G.zero
-            for part in combo:
-                total = G.add(total, part)
-            seen.add(total)
-        verified = len(seen) == G.order
-    for p, comp in components.items():
-        for q, other in components.items():
-            if p < q and set(comp) & set(other) != {G.zero}:
-                verified = False
+    if G.order > _MAX_LISTED:
+        raise InputError(f"group order {G.order} exceeds the {_MAX_LISTED} sums one run may list")
+    primes = sorted(_prime_factors(G.exponent).items())
+    components = {p: tuple(sorted(n_torsion(G, p**e))) for p, e in primes}
+    parts = components.values()
+    verified = prod(map(len, parts)) == len(_sums(G, parts)) == G.order and all(
+        set(c) & set(d) == {G.zero} for c, d in itertools.combinations(parts, 2)
+    )
     return TorsionReport(G, components, verified)
-
-
-_DIRECT_LIMIT = 6
 
 
 def is_linearly_independent(G: FiniteAbelianGroup, A) -> bool:
     """True iff the only way to combine distinct elements of A to zero is termwise zero.
 
-    Coefficients for a are searched over 0..order(a)-1, which is complete
-    because k*a only depends on k modulo order(a).  Sets containing zero are
-    dependent by convention.  Above ``_DIRECT_LIMIT`` elements the exhaustive
-    tuple scan is replaced by the hull route: a is redundant iff it lies in
-    the division hull of the others.
+    Equivalently, the prod order(a) sums of one multiple k*a (0 <= k <
+    order(a)) of each a are all distinct: two equal sums differ by a
+    combination to zero with a nonzero term, and such a combination, its
+    coefficients read modulo order(a), is a sum equal to the all-zero one.
+    So more sums than |G| means dependent, known before any sum is listed.
+    Sets containing zero are dependent by convention.
     """
-    elems = sorted({G.element(a) for a in A})
+    elems = {G.element(a) for a in A}
     if G.zero in elems:
         return False
-    if len(elems) <= _DIRECT_LIMIT:
-        multiples = []
-        for a in elems:
-            row = []
-            m = G.zero
-            for _ in range(G.element_order(a)):
-                row.append(m)
-                m = G.add(m, a)
-            multiples.append(row)
-        for combo in itertools.product(*multiples):
-            if all(term == G.zero for term in combo):
-                continue
-            total = G.zero
-            for term in combo:
-                total = G.add(total, term)
-            if total == G.zero:
-                return False
-        return True
-    for a in elems:
-        if a in linear_hull(G, set(elems) - {a}):
-            return False
-    return True
+    orders = {a: G.element_order(a) for a in elems}
+    count = prod(orders.values())
+    if count > G.order:
+        return False
+    if count > _MAX_LISTED:
+        raise InputError(f"{count} sums of multiples exceed the {_MAX_LISTED} one run may list")
+    return len(_sums(G, ([G.scalar(k, a) for k in range(n)] for a, n in orders.items()))) == count
 
 
 @dataclass(frozen=True)

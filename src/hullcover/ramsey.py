@@ -436,13 +436,19 @@ class EdgeColoring:
         return [(u, v) for u, v, c in self.edges() if c == color]
 
 
-def prefix_coloring(k: int, limit: int = 12) -> EdgeColoring:
+# the largest k a prefix coloring may be asked for: K_{2^12} has 8.4 M edges
+_MAX_PREFIX_K = 12
+
+
+def prefix_coloring(k: int, limit: int = _MAX_PREFIX_K) -> EdgeColoring:
     """Color each pair of length-k bit strings by their first differing bit.
 
     Vertices are the integers 0..2^k-1 read as bit strings, most significant
     bit first; exactly k colors occur.  Refuses above ``limit`` since the
-    full edge table materializes.
+    full edge table materializes, and a ``limit`` above ``_MAX_PREFIX_K``.
     """
+    if limit > _MAX_PREFIX_K:
+        raise InputError(f"limit must be at most {_MAX_PREFIX_K}, got {limit}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if k > limit:

@@ -222,12 +222,25 @@ def test_group_independence(tmp_path):
     assert load(out2)["independence"]["independent"] is True
 
 
-def test_group_argument_validation(tmp_path):
+def test_group_argument_validation(tmp_path, capsys):
     assert run(["group", "torsion", "--orders", "4", "--out", tmp_path / "x.json"]) == 2
     assert run(["group", "independence", "--orders", "4", "--out", tmp_path / "x.json"]) == 2
     assert run(["group", "torsion", "--orders", "2,x", "--n", "2", "--out", tmp_path / "x.json"]) == 2
     elements = ["--elements", "1;y"]
     assert run(["group", "independence", "--orders", "4", *elements, "--out", tmp_path / "x.json"]) == 2
+    # sizes past the listing bound are refused before anything is listed
+    units = ";".join(",".join(str(int(i == j)) for j in range(6)) for i in range(6))
+    for args in (
+        ["torsion", "--orders", "1000000000", "--n", "1000000000"],
+        ["decompose", "--orders", "1000000000"],
+        ["decompose", "--orders", "65536,59049"],
+        ["independence", "--orders", "16,16,16,16,16,16", "--elements", units],
+    ):
+        capsys.readouterr()
+        assert run(["group", *args, "--out", tmp_path / "x.json"]) == 2, args
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("hullcover: error: "), (args, errors)
+    assert not (tmp_path / "x.json").exists()
 
 
 # --- manifests and determinism ----------------------------------------------------------
@@ -367,6 +380,29 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert all(line.startswith("hullcover: error: ") for line in errors)
     assert "hullcover: error: coloring seed 3 contradicts --seed 9" in errors
     assert "hullcover: error: budget seed 0 contradicts --seed 7" in errors
+    # command-line errors, a limit past 12 and a coloring past the listing bound
+    # return 2 with one line, raising no SystemExit
+    mod = write_json(tmp_path / "mod.json", {"x_size": 3, "y_size": 6, "colors": 2, "formula": "mod"})
+    huge = write_json(tmp_path / "huge.json", {"x_size": 3, "y_size": 10**18, "formula": "constant", "colors": 2})
+    for args in (
+        ["rectangle", mod, "--size", "x"],
+        ["rectangle", mod],
+        ["prefix-color", "x"],
+        ["prefix-color", "2", "--bogus"],
+        ["banana"],
+        [],
+        ["group", "sum", "--orders", "4"],
+        ["prefix-color", "16", "--limit", "16"],
+        ["prefix-color", "2", "--limit", "13"],
+        ["rectangle", huge, "--size", "2"],
+    ):
+        assert run([*args, "--out", tmp_path / "c.json"] if args else args) == 2, args
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("hullcover: error: "), (args, errors)
+    assert not (tmp_path / "c.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        run(["prefix-color", "--help"])
+    assert exc.value.code == 0
 
 
 def test_integer_string_seeds_are_recorded_as_integers(tmp_path):

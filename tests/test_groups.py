@@ -26,6 +26,24 @@ def brute_torsion(G, n):
     return frozenset(x for x in G.elements if G.scalar(n, x) == G.zero)
 
 
+def brute_independent(G, A):
+    # no combination of distinct elements, each term k*a with 0 < k < order(a),
+    # sums to zero; supports are scanned smallest first, so a dependent set
+    # stops at its smallest dependency
+    A = sorted(set(A))
+    if G.zero in A:
+        return False
+    for r in range(1, len(A) + 1):
+        for support in itertools.combinations(A, r):
+            for ks in itertools.product(*(range(1, G.element_order(a)) for a in support)):
+                total = G.zero
+                for k, a in zip(ks, support):
+                    total = G.add(total, G.scalar(k, a))
+                if total == G.zero:
+                    return False
+    return True
+
+
 # --- group basics -------------------------------------------------------------
 
 
@@ -153,6 +171,8 @@ def test_n_torsion_examples():
     assert n_torsion(Z2Z4, 2) == {(0, 0), (1, 0), (0, 2), (1, 2)}
     with pytest.raises(InputError):
         n_torsion(Z4, 0)
+    # the torsion's size is bounded, not the group's
+    assert n_torsion(FiniteAbelianGroup((10**9,)), 2) == {(0,), (5 * 10**8,)}
 
 
 def test_n_torsion_matches_brute_force_and_is_a_subgroup():
@@ -190,6 +210,18 @@ def test_primary_decomposition_examples():
     assert rep23.component_sizes == {2: 2, 3: 3}
 
 
+def test_overlapping_parts_are_not_a_direct_sum(monkeypatch):
+    # {0, 2} as the 2-part of Z_6: sizes 2 * 3 = 6, but the parts share 2 and
+    # their sums are only {0, 2, 4}
+    real = n_torsion
+    monkeypatch.setattr(
+        "hullcover.groups.n_torsion", lambda G, n: frozenset({(0,), (2,)}) if n == 2 else real(G, n)
+    )
+    rep = primary_decomposition(Z6)
+    assert rep.component_sizes == {2: 2, 3: 3}
+    assert not rep.direct_sum_verified
+
+
 def test_primary_decomposition_verifies_for_all_small_groups():
     for G in invariant_factor_groups(12):
         rep = primary_decomposition(G)
@@ -208,6 +240,17 @@ def test_linear_independence_examples():
     assert not is_linearly_independent(Z4, [(1,), (3,)])
     assert is_linearly_independent(Z4, [])
     assert not is_linearly_independent(Z4, [(0,)])
+    # more sums of multiples than |G| is dependent, and none is listed
+    assert not is_linearly_independent(FiniteAbelianGroup((2**40,)), [(1,), (2,)])
+
+
+def test_linear_independence_matches_the_coefficient_scan():
+    rng = random.Random(21)
+    for G in invariant_factor_groups(32):
+        for size in range(9):
+            for _ in range(10):
+                A = [rng.choice(G.elements) for _ in range(size)]
+                assert is_linearly_independent(G, A) == brute_independent(G, A), (G.orders, A)
 
 
 def test_large_sets_fall_back_to_the_hull_route():
