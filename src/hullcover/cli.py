@@ -472,20 +472,21 @@ def _keep_mode_and_owner(fd, target):
             os.chown(fd, target.st_uid, target.st_gid)
 
 
-def _execute(subcommand, params, seed, out_path):
-    params = Fields(params, "parameters")
+def _execute(manifest, out_path):
+    """Run a manifest's subcommand on its parameters and seed; write its document."""
+    m = Fields(manifest, "manifest")
+    subcommand = m("subcommand")
+    if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
+        raise InputError(f"manifest names unknown subcommand {subcommand!r}")
+    params, seed = m("parameters", Fields), m("seed", _int, None)
     started = time.perf_counter()
     key, payload, verdicts, code = _SUBCOMMANDS[subcommand][0](params, seed)
     elapsed = time.perf_counter() - started
-    manifest = {
-        "subcommand": subcommand,
-        "parameters": params.record,
-        "seed": seed,
-        "versions": {"hullcover": __version__, "python": platform.python_version()},
-        "verdicts": verdicts,
-    }
+    # m's record holds the subcommand, seed and parameters as read
+    versions = {"hullcover": __version__, "python": platform.python_version()}
+    document = {"manifest": {**m.record, "versions": versions, "verdicts": verdicts}, key: payload}
     started = time.perf_counter()
-    size = _write_document({"manifest": manifest, key: payload}, out_path)
+    size = _write_document(document, out_path)
     written = time.perf_counter() - started
     print(
         f"hullcover {subcommand}: exit {code} in {elapsed:.3f}s, wrote {size} bytes in {written:.3f}s",
@@ -494,22 +495,23 @@ def _execute(subcommand, params, seed, out_path):
     return code
 
 
-def _parse_int_list(text, what):
-    return [_int(part, what) for part in str(text).split(",") if part.strip() != ""]
+# the command-line helpers only split text; the runners cast what they read
+def _split_list(text):
+    return [part for part in text.split(",") if part.strip()]
 
 
-def _parse_elements(text):
-    return [_parse_int_list(chunk, "elements") for chunk in str(text).split(";") if chunk.strip()]
+def _split_elements(text):
+    return [_split_list(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-# subcommand: (runner, parsed arguments -> parameters); fresh runs and
-# reruns alike reach the runner through one Fields reader, whose record the
-# manifest keeps, so a key no runner reads (a budget's max_evaluations) is
-# neither used nor recorded
+# subcommand: (runner, parsed arguments -> parameters); a fresh run's
+# parameters go into a manifest, so fresh runs and reruns alike reach the
+# runner through one Fields reader, whose record the manifest keeps: a key no
+# runner reads (a budget's max_evaluations) is neither used nor recorded
 _SUBCOMMANDS = {
     "partition": (_run_partition, lambda a: {
         "spec": _load_json(a.spec),
-        "basis": _parse_int_list(a.basis, "basis") if a.basis else None,
+        "basis": _split_list(a.basis) if a.basis else None,
     }),
     "check-axioms": (_run_check_axioms, lambda a: {
         "spec": _load_json(a.spec),
@@ -523,22 +525,11 @@ _SUBCOMMANDS = {
     "prefix-color": (_run_prefix_color, lambda a: {"k": a.k, "verify": a.verify, "limit": a.limit}),
     "group": (_run_group, lambda a: {
         "op": a.op,
-        "orders": _parse_int_list(a.orders, "orders"),
+        "orders": _split_list(a.orders),
         "n": a.n,
-        "elements": _parse_elements(a.elements) if a.elements else None,
+        "elements": _split_elements(a.elements) if a.elements else None,
     }),
 }
-
-
-def _from_manifest(source):
-    """``(subcommand, parameters, seed)`` from the manifest inside an output document."""
-    document = _load_json(source)
-    manifest = document.get("manifest", document) if isinstance(document, dict) else document
-    m = Fields(manifest, "manifest")
-    subcommand = m("subcommand")
-    if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
-        raise InputError(f"manifest names unknown subcommand {subcommand!r}")
-    return subcommand, m("parameters"), m("seed", _int, None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -562,32 +553,32 @@ def _build_parser():
     p = sub.add_parser("check-axioms", help="sweep hull, idempotence and exchange axioms")
     p.add_argument("spec", help="matroid spec file (JSON)")
     p.add_argument("--budget", default="exhaustive:3", help="exhaustive[:K] or sampled:COUNT[:K]")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--out")
 
     p = sub.add_parser("rectangle", help="monochrome rectangle in a product coloring")
     p.add_argument("coloring", help="coloring file (JSON table or generator)")
-    p.add_argument("--size", type=int, required=True, help="requested |A|")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--size", required=True, help="requested |A|")
+    p.add_argument("--seed")
     p.add_argument("--out")
 
     p = sub.add_parser("quad", help="dependent monochrome 4-set in a finite group")
     p.add_argument("group", help="group file (JSON: cyclic, orders, or table)")
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--formula", default="constant", choices=["constant", "mod", "seeded-uniform"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--colors", required=True)
+    p.add_argument("--formula", help="constant (the default), mod or seeded-uniform")
+    p.add_argument("--seed")
     p.add_argument("--out")
 
     p = sub.add_parser("prefix-color", help="first-differing-bit edge coloring of K_{2^k}")
-    p.add_argument("k", type=int)
+    p.add_argument("k")
     p.add_argument("--verify", action="store_true", help="also run the odd-cycle check")
-    p.add_argument("--limit", type=int, default=_MAX_PREFIX_K)
+    p.add_argument("--limit", help=f"largest k allowed (default and most: {_MAX_PREFIX_K})")
     p.add_argument("--out")
 
     p = sub.add_parser("group", help="finite abelian group reports")
-    p.add_argument("op", choices=["torsion", "decompose", "independence"])
+    p.add_argument("op", help="torsion, decompose or independence")
     p.add_argument("--orders", required=True, help="comma-separated cyclic orders")
-    p.add_argument("--n", type=int, help="torsion index (torsion op)")
+    p.add_argument("--n", help="torsion index (torsion op)")
     p.add_argument("--elements", help="semicolon-separated residue tuples, e.g. 1,0;0,1")
     p.add_argument("--out")
 
@@ -602,11 +593,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "rerun":
-            subcommand, params, seed = _from_manifest(args.source)
+            document = _load_json(args.source)
+            manifest = document.get("manifest", document) if isinstance(document, dict) else document
         else:
-            subcommand, seed = args.command, getattr(args, "seed", None)
-            params = _SUBCOMMANDS[subcommand][1](args)
-        return _execute(subcommand, params, seed, args.out)
+            manifest = {
+                "subcommand": args.command,
+                "parameters": _SUBCOMMANDS[args.command][1](args),
+                "seed": getattr(args, "seed", None),
+            }
+        return _execute(manifest, args.out)
     except (InputError, PremiseError, BudgetError) as exc:
         print(f"hullcover: error: {exc}", file=sys.stderr)
         return EXIT_PREMISE

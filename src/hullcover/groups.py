@@ -81,10 +81,6 @@ class FiniteAbelianGroup:
             tuple(self.scalar(n, e) for n in range(1, self.exponent + 1)) for e in self.elements
         )
 
-    @cached_property
-    def _element_index(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
-
     @property
     def zero(self) -> tuple:
         return (0,) * len(self.orders)
@@ -102,9 +98,6 @@ class FiniteAbelianGroup:
             if not 0 <= v < n:
                 raise InputError(f"residue {v} out of range 0..{n - 1} in element {x}")
         return x
-
-    def index(self, x) -> int:
-        return self._element_index[self.element(x)]
 
     def label(self, x) -> str:
         x = self.element(x)

@@ -116,11 +116,6 @@ class ProductColoring:
             raise InputError(f"row {y} out of range 0..{self.ny - 1}")
         return tuple(self._row_fn(y))
 
-    def color(self, x, y) -> int:
-        if not 0 <= x < self.nx:
-            raise InputError(f"column {x} out of range 0..{self.nx - 1}")
-        return self.row(y)[x]
-
 
 @dataclass(frozen=True)
 class Rectangle:

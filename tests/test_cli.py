@@ -1,3 +1,4 @@
+import ast
 import enum
 import errno
 import io
@@ -285,6 +286,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "vector_fp", "p": 3, "dim": 13},
         {"kind": "abelian", "orders": [10**9, 10**9]},
         {"kind": "abelian", "orders": [1000003]},
+        # a field size past 2^40 is refused before trial division could test it
+        {"kind": "vector_fp", "p": 1000000000000000003, "vectors": [[1]]},
     ]
     for i, spec in enumerate(bad_specs):
         path = write_json(tmp_path / f"spec{i}.json", spec)
@@ -400,9 +403,60 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("hullcover: error: "), (args, errors)
     assert not (tmp_path / "c.json").exists()
-    with pytest.raises(SystemExit) as exc:
-        run(["prefix-color", "--help"])
-    assert exc.value.code == 0
+    for command in ([], *([name] for name in [*cli._SUBCOMMANDS, "rerun"])):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--help"])
+        assert exc.value.code == 0, command
+
+
+def test_a_bad_value_gets_one_message_on_the_command_line_and_in_a_rerun(tmp_path, capsys):
+    mod_coloring = {"x_size": 3, "y_size": 6, "colors": 2, "formula": "mod"}
+    mod = write_json(tmp_path / "mod.json", mod_coloring)
+    k4_spec = {"kind": "graphic", "complete": 4}
+    k4 = write_json(tmp_path / "k4.json", k4_spec)
+    z5 = write_json(tmp_path / "z5.json", {"cyclic": 5})
+    exhaustive = {"mode": "exhaustive", "max_subset_size": 3}
+    cases = [
+        (["rectangle", mod, "--size", "x"], "rectangle", {"coloring": mod_coloring, "size": "x"}, None,
+         "size: expected an integer, got 'x'"),
+        (["prefix-color", "x"], "prefix-color", {"k": "x"}, None, "k: expected an integer, got 'x'"),
+        (["prefix-color", "2", "--limit", "q"], "prefix-color", {"k": "2", "limit": "q"}, None,
+         "limit: expected an integer, got 'q'"),
+        (["quad", z5, "--colors", "two"], "quad", {"group": {"cyclic": 5}, "coloring": {"colors": "two"}},
+         None, "colors: expected an integer, got 'two'"),
+        (["group", "torsion", "--orders", "4", "--n", "z"], "group", {"op": "torsion", "orders": ["4"], "n": "z"},
+         None, "n: expected an integer, got 'z'"),
+        (["rectangle", mod, "--size", "2", "--seed", "s"], "rectangle", {"coloring": mod_coloring, "size": "2"},
+         "s", "seed: expected an integer, got 's'"),
+        (["check-axioms", k4, "--seed", "s"], "check-axioms", {"spec": k4_spec, "budget": exhaustive}, "s",
+         "seed: expected an integer, got 's'"),
+        (["quad", z5, "--colors", "1", "--formula", "bogus"], "quad",
+         {"group": {"cyclic": 5}, "coloring": {"colors": "1", "formula": "bogus"}}, None,
+         "unknown coloring formula 'bogus'"),
+        (["group", "sum", "--orders", "4"], "group", {"op": "sum", "orders": ["4"]}, None,
+         "unknown group operation 'sum'"),
+    ]
+    out = tmp_path / "out.json"
+    for argv, subcommand, parameters, seed, message in cases:
+        manifest = {"subcommand": subcommand, "parameters": parameters, "seed": seed}
+        rerun = ["rerun", write_json(tmp_path / "manifest.json", {"manifest": manifest})]
+        for args in (argv, rerun):
+            capsys.readouterr()
+            assert run([*args, "--out", out]) == 2, args
+            assert capsys.readouterr().err.splitlines() == [f"hullcover: error: {message}"], args
+    assert not out.exists()
+
+
+def test_the_parser_casts_and_chooses_nothing():
+    # Fields is the one reader that casts, defaults or refuses a value
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+    ]
+    assert len(calls) >= 20
+    for call in calls:
+        assert not {kw.arg for kw in call.keywords} & {"type", "choices"}, ast.unparse(call)
 
 
 def test_integer_string_seeds_are_recorded_as_integers(tmp_path):
