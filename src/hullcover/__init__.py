@@ -6,7 +6,6 @@ from .core import (
     AxiomReport,
     Budget,
     BudgetError,
-    GroundSet,
     HullOracle,
     InputError,
     InternalInconsistencyError,

@@ -133,7 +133,7 @@ def _run_partition(f, seed):
     dec = P.decomposition
     payload = {
         "kind": M.oracle.kind,
-        "labels": list(M.ground.labels),
+        "labels": list(M.labels),
         "loops": list(dec.loops),
         "basis": list(dec.basis),
         "basis_labels": list(M.labels_of(dec.basis)),
@@ -145,10 +145,10 @@ def _run_partition(f, seed):
             {
                 "elements": list(cls),
                 "labels": list(M.labels_of(cls)),
-                "independent": cert.independent,
-                "circuit": list(cert.circuit) if cert.circuit else None,
+                "independent": circuit is None,
+                "circuit": list(circuit) if circuit else None,
             }
-            for cls, cert in zip(P.classes, P.certificates)
+            for cls, circuit in zip(P.classes, P.circuits)
         ],
         "class_of": list(P.class_of),
         "class_count": len(P.classes),
@@ -191,7 +191,7 @@ def _run_check_axioms(f, seed):
         )
         verdicts[report.axiom] = report.verdict
     all_hold = all(r.holds for r in reports)
-    payload = {"kind": M.oracle.kind, "labels": list(M.ground.labels), "reports": entries, "all_hold": all_hold}
+    payload = {"kind": M.oracle.kind, "labels": list(M.labels), "reports": entries, "all_hold": all_hold}
     return "axioms", payload, verdicts, EXIT_OK if all_hold else EXIT_CERTIFICATE
 
 

@@ -134,24 +134,6 @@ class InternalInconsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GroundSet:
-    """Finite ground set with a fixed order; elements are the indices 0..n-1."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def elements(self) -> range:
-        return range(len(self.labels))
-
-
-@dataclass(frozen=True)
 class HullOracle:
     """Membership oracle for a hull operator.
 
@@ -165,19 +147,20 @@ class HullOracle:
 
 @dataclass(eq=False)
 class MatroidInstance:
-    """A ground set together with a hull oracle and its cached loop set.
+    """A labelled ground set together with a hull oracle and its cached loop set.
 
-    ``loops`` is the closure of the empty set.  ``is_matroid`` records
-    whether the oracle is flagged (declared or verified) to satisfy
-    idempotence and the exchange property; certificate failures on flagged
-    instances are treated as oracle bugs.  ``objects`` optionally carries the
+    The elements are the indices 0..n-1 of ``labels``, in that fixed order.
+    ``loops`` is the closure of the empty set.  ``is_matroid`` records whether
+    the oracle is flagged (declared or verified) to satisfy idempotence and
+    the exchange property; certificate failures on flagged instances are
+    treated as oracle bugs.  ``objects`` optionally carries the
     semantic payload behind each index (vectors, edges, group elements).
 
     Instances are immutable after construction apart from a bounded
     internal closure memo (see ``closure``); all operations on them are pure.
     """
 
-    ground: GroundSet
+    labels: tuple
     oracle: HullOracle
     loops: frozenset
     is_matroid: bool = True
@@ -185,20 +168,24 @@ class MatroidInstance:
     _closures: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, ground, oracle, is_matroid=True, objects=()):
+    def build(cls, labels, oracle, is_matroid=True, objects=()):
         member = oracle.member
-        loops = frozenset(x for x in ground.elements if member(x, frozenset()))
-        return cls(ground, oracle, loops, is_matroid, tuple(objects))
+        loops = frozenset(x for x in range(len(labels)) if member(x, frozenset()))
+        return cls(tuple(labels), oracle, loops, is_matroid, tuple(objects))
 
     @property
     def size(self) -> int:
-        return self.ground.size
+        return len(self.labels)
+
+    @property
+    def elements(self) -> range:
+        return range(len(self.labels))
 
     def label(self, x: int) -> str:
-        return self.ground.labels[x]
+        return self.labels[x]
 
     def labels_of(self, xs: Iterable[int]) -> tuple:
-        return tuple(self.ground.labels[x] for x in xs)
+        return tuple(self.labels[x] for x in xs)
 
     def index_of(self, obj) -> int:
         """Index of the first ground element carrying this semantic object."""
@@ -210,7 +197,7 @@ class MatroidInstance:
 
 def _as_subset(M: MatroidInstance, F) -> frozenset:
     F = frozenset(F)
-    n = M.ground.size
+    n = M.size
     for x in F:
         if not isinstance(x, int) or not 0 <= x < n:
             raise InputError(f"element identifier {x!r} out of range 0..{n - 1}")
@@ -231,7 +218,7 @@ def closure(M: MatroidInstance, F) -> frozenset:
     cached = memo.get(F)
     if cached is None:
         member = M.oracle.member
-        cached = frozenset(x for x in M.ground.elements if member(x, F))
+        cached = frozenset(x for x in M.elements if member(x, F))
         if len(memo) >= _CLOSURE_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[F] = cached
@@ -285,7 +272,7 @@ def greedy_basis(M: MatroidInstance, order=None) -> tuple:
     maximal independent set whose closure covers the ground set on
     matroid-flagged instances.
     """
-    n = M.ground.size
+    n = M.size
     if order is None:
         scan = range(n)
     else:
@@ -343,17 +330,16 @@ class Budget:
     def parse(cls, text, seed=None):
         """Parse "exhaustive[:K]" or "sampled:COUNT[:K]" (seed given separately)."""
         mode, *numbers = str(text).split(":")
-        try:
-            numbers = [int(part) for part in numbers]
-        except ValueError:
-            raise InputError(f"budget {text!r}: COUNT and K must be integers") from None
+        names = {"exhaustive": ("max_subset_size",), "sampled": ("count", "max_subset_size")}.get(mode)
+        if names is None or len(numbers) > len(names):
+            raise InputError(f"budget {text!r} is neither exhaustive[:K] nor sampled:COUNT[:K]")
+        # cast by field name, as a rerun's manifest reads them, for one message both ways
+        fields = {key: _int(value, key) for key, value in zip(names, numbers)}
         if mode == "exhaustive":
-            return cls.exhaustive(*numbers[:1])
-        if mode == "sampled":
-            if not numbers:
-                raise InputError("sampled budget needs a count: sampled:COUNT[:K]")
-            return cls.sampled(0 if seed is None else seed, *numbers[:2])
-        raise InputError(f"unknown budget {text!r}; use exhaustive[:K] or sampled:COUNT[:K]")
+            return cls.exhaustive(**fields)
+        if "count" not in fields:
+            raise InputError("sampled budget needs a count: sampled:COUNT[:K]")
+        return cls.sampled(0 if seed is None else seed, **fields)
 
     def describe(self) -> str:
         if self.mode == "exhaustive":
@@ -391,8 +377,9 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
     """Report the first witness that ``exhaustive(sets)`` or ``sampled(sets, rng)``
     yields over the budget's subsets, refusing first if the estimated oracle
     evaluations (subsets times ``cost_per_set(n, K)``) exceed the cap.
+    A sampled sweep whose draws yield no case has checked nothing, and is refused.
     """
-    n = M.ground.size
+    n = M.size
     k = min(budget.max_subset_size, n)
     if budget.mode == "exhaustive":
         estimate = sum(comb(n, s) for s in range(k + 1)) * cost_per_set(n, k)
@@ -410,7 +397,14 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
         rng = random.Random(budget.seed)
         sets = (frozenset(rng.sample(range(n), rng.randint(0, k))) for _ in range(budget.count))
         cases = sampled(sets, rng)
-    witness = next(filter(None, cases), None)
+    # a case is None or a witness, which is a non-empty dict
+    first = next(cases, False)
+    if first is False and budget.mode == "sampled":
+        raise BudgetError(
+            f"sampled {_SWEEP_NAMES.get(axiom, axiom)} sweep over {n} elements evaluated "
+            f"no case in {budget.count} draws; use more draws or another seed"
+        )
+    witness = first or next(filter(None, cases), None)
     return AxiomReport(axiom, HOLDS if witness is None else VIOLATED, witness, budget.describe())
 
 
@@ -480,7 +474,7 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
 
     def outside(A):
         clA = closure(M, A)
-        return [z for z in M.ground.elements if z not in clA]
+        return [z for z in M.elements if z not in clA]
 
     def violation(A, x, y, forward, backward):
         if forward == backward:

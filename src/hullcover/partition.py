@@ -65,28 +65,23 @@ def layer_decomposition(M: MatroidInstance, basis=None) -> LayerDecomposition:
 
 
 @dataclass(frozen=True)
-class ClassCertificate:
-    independent: bool
-    circuit: Optional[tuple]
-
-
-@dataclass(frozen=True)
 class IndependentPartition:
     """Disjoint classes covering the ground set minus loops (for a spanning basis).
 
     ``class_of`` maps each element to its class index, None for loops and
     for elements a non-spanning supplied basis fails to reach.  The number
-    of classes equals the largest layer size.
+    of classes equals the largest layer size.  ``circuits`` certifies each
+    class: None when it is independent, else a circuit inside it.
     """
 
     classes: tuple
     class_of: tuple
-    certificates: tuple
+    circuits: tuple
     decomposition: LayerDecomposition
 
     @property
     def all_certified(self) -> bool:
-        return all(cert.independent for cert in self.certificates)
+        return all(circuit is None for circuit in self.circuits)
 
 
 def layered_partition(M: MatroidInstance, basis=None) -> IndependentPartition:
@@ -99,22 +94,22 @@ def layered_partition(M: MatroidInstance, basis=None) -> IndependentPartition:
     """
     dec = layer_decomposition(M, basis)
     classes: list = [[] for _ in range(dec.max_layer_size)]
-    class_of: list = [None] * M.ground.size
+    class_of: list = [None] * M.size
     for layer in dec.layers:
         for position, x in enumerate(layer):
             classes[position].append(x)
             class_of[x] = position
     classes = tuple(tuple(sorted(c)) for c in classes)
-    certificates = []
+    circuits = []
     for index, cls in enumerate(classes):
         circuit = find_circuit_within(M, cls)
-        certificates.append(ClassCertificate(circuit is None, circuit))
+        circuits.append(circuit)
         if circuit is not None and M.is_matroid:
             raise InternalInconsistencyError(
                 f"class {index} on matroid-flagged instance {M.oracle.kind!r} "
                 f"contains circuit {circuit}"
             )
-    return IndependentPartition(classes, tuple(class_of), tuple(certificates), dec)
+    return IndependentPartition(classes, tuple(class_of), tuple(circuits), dec)
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionRe
     """Re-check disjointness, coverage of ground minus loops, and independence.
 
     Independence is re-derived by circuit search rather than trusted from
-    the stored certificates; the first failing class is reported with its
+    the stored circuits; the first failing class is reported with its
     circuit.
     """
     seen: set = set()
@@ -142,7 +137,7 @@ def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionRe
             if x in seen:
                 disjoint = False
             seen.add(x)
-    expected = set(M.ground.elements) - set(M.loops)
+    expected = set(M.elements) - set(M.loops)
     covers = seen == expected
     failing_class = None
     circuit = None

@@ -62,14 +62,13 @@ class ProductColoring:
     so generated colorings never materialize more than one row at a time.
     """
 
-    def __init__(self, nx, ny, ncolors, row_fn, descriptor):
+    def __init__(self, nx, ny, ncolors, row_fn):
         if nx < 0 or ny < 0 or ncolors < 1:
             raise InputError(f"bad coloring shape nx={nx} ny={ny} colors={ncolors}")
         self.nx = nx
         self.ny = ny
         self.ncolors = ncolors
         self._row_fn = row_fn
-        self.descriptor = dict(descriptor)
 
     @classmethod
     def from_table(cls, table, ncolors):
@@ -82,34 +81,33 @@ class ProductColoring:
             for x, c in enumerate(row):
                 if not 0 <= c < ncolors:
                     raise InputError(f"color {c} at cell ({x},{y}) not below {ncolors}")
-        return cls(nx, len(table), ncolors, lambda y: table[y], {"formula": "table"})
+        return cls(nx, len(table), ncolors, lambda y: table[y])
 
     @classmethod
     def constant(cls, nx, ny, ncolors=1, color=0):
         if not 0 <= color < ncolors:
             raise InputError(f"constant color {color} not below {ncolors}")
         row = (color,) * nx
-        return cls(nx, ny, ncolors, lambda y: row, {"formula": "constant"})
+        return cls(nx, ny, ncolors, lambda y: row)
 
     @classmethod
     def mod(cls, nx, ny, ncolors):
         def row(y):
             return tuple((x + y) % ncolors for x in range(nx))
 
-        return cls(nx, ny, ncolors, row, {"formula": "mod"})
+        return cls(nx, ny, ncolors, row)
 
     @classmethod
     def seeded_uniform(cls, nx, ny, ncolors, seed):
         seed, draws = _int(seed, "seed"), _seeded_draws(ncolors)
-        descriptor = {"formula": "seeded-uniform", "seed": seed}
-        return cls(nx, ny, ncolors, lambda y: draws(f"{seed}:{y}", nx), descriptor)
+        return cls(nx, ny, ncolors, lambda y: draws(f"{seed}:{y}", nx))
 
     @classmethod
-    def from_function(cls, nx, ny, ncolors, fn, descriptor):
+    def from_function(cls, nx, ny, ncolors, fn):
         def row(y):
             return tuple(fn(x, y) for x in range(nx))
 
-        return cls(nx, ny, ncolors, row, descriptor)
+        return cls(nx, ny, ncolors, row)
 
     def row(self, y) -> tuple:
         if not 0 <= y < self.ny:
@@ -244,7 +242,7 @@ def group_from_abelian(G: FiniteAbelianGroup) -> FiniteGroup:
     )
 
 
-def table_group(table, labels=None) -> FiniteGroup:
+def table_group(table) -> FiniteGroup:
     """Group from an explicit multiplication table table[a][b] = a*b."""
     table = tuple(tuple(_int(v, "group table") for v in row) for row in table)
     n = len(table)
@@ -267,10 +265,8 @@ def table_group(table, labels=None) -> FiniteGroup:
         if inv is None or table[inv][a] != identity:
             raise InputError(f"element {a} has no two-sided inverse")
         inverses.append(inv)
-    if labels is None:
-        labels = [str(i) for i in range(n)]
     return FiniteGroup(
-        labels,
+        [str(i) for i in range(n)],
         lambda a, b: table[a][b],
         lambda a: inverses[a],
         identity,
@@ -362,7 +358,7 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
         raise PremiseError("could not collect enough Y elements avoiding X inverses", thresholds=th)
 
     induced = ProductColoring.from_function(
-        len(X), len(Y), ncolors, lambda xi, yi: chi(group.mul(X[xi], Y[yi])), {"formula": "group-products"}
+        len(X), len(Y), ncolors, lambda xi, yi: chi(group.mul(X[xi], Y[yi]))
     )
     rect = monochrome_rectangle(induced, 2)
     if len(rect.Z) < 4:
@@ -417,11 +413,8 @@ class EdgeColoring:
                 f"expected {comb(self.n, 2)} edge colors for n = {self.n}, got {len(self.colors)}"
             )
 
-    def pair_index(self, u, v) -> int:
-        return _pair_index(self.n, u, v)
-
     def color_of(self, u, v) -> int:
-        return self.colors[self.pair_index(u, v)]
+        return self.colors[_pair_index(self.n, u, v)]
 
     def edges(self):
         for i, (u, v) in enumerate(itertools.combinations(range(self.n), 2)):
@@ -545,7 +538,6 @@ def monochrome_bipartite(coloring: EdgeColoring, lam) -> Rectangle:
         len(y_side),
         coloring.ncolors,
         lambda xi, yi: coloring.color_of(x_side[xi], y_side[yi]),
-        {"formula": "vertex-halves"},
     )
     rect = monochrome_rectangle(induced, lam)
     return Rectangle(

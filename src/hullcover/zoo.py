@@ -26,7 +26,7 @@ from functools import partial
 from math import comb, gcd
 
 from .core import (
-    Fields, GroundSet, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints,
+    Fields, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints,
 )
 from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
@@ -117,9 +117,8 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
     """Span-membership oracle over F_p or Q; the zero vector is the only loop."""
     if spec.field == "fp":
         p = spec.p
-        # is_prime divides by trial, in time growing as sqrt(p): 0.16 s at 2^40
-        if p > _MAX_LISTED**2 or not is_prime(p):
-            raise InputError(f"field size must be a prime at most {_MAX_LISTED**2}, got {p}")
+        if not is_prime(p):
+            raise InputError(f"field size must be a prime, got {p}")
         # p >= 2, so the bit length caps dim before p^dim is computed
         top = _MAX_LISTED.bit_length() - 1
         if not 0 <= spec.dim <= top or p**spec.dim > _MAX_LISTED:
@@ -153,7 +152,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         raise InputError(f"vectors have mixed dimensions {sorted(dims)}")
     labels = ["(" + ",".join(str(c) for c in v) + ")" for v in vectors]
     oracle = HullOracle(kind, _member(span))
-    return MatroidInstance.build(GroundSet(tuple(labels)), oracle, True, tuple(vectors))
+    return MatroidInstance.build(labels, oracle, True, tuple(vectors))
 
 
 def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
@@ -192,7 +191,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
 
     labels = [f"e{u}-{v}" for u, v in edges]
     oracle = HullOracle("graphic", _member(span))
-    return MatroidInstance.build(GroundSet(tuple(labels)), oracle, True, tuple(edges))
+    return MatroidInstance.build(labels, oracle, True, tuple(edges))
 
 
 def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
@@ -224,9 +223,7 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
 
     labels = [G.label(e) for e in elems]
     oracle = HullOracle("abelian", _member(span))
-    return MatroidInstance.build(
-        GroundSet(tuple(labels)), oracle, _division_hull_is_matroid(G), elems
-    )
+    return MatroidInstance.build(labels, oracle, _division_hull_is_matroid(G), elems)
 
 
 def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
@@ -265,7 +262,7 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
 
     labels = [str(v) for v in values]
     oracle = HullOracle(kind, _member(span))
-    return MatroidInstance.build(GroundSet(tuple(labels)), oracle, flagged, values)
+    return MatroidInstance.build(labels, oracle, flagged, values)
 
 
 def matroid_from_spec(spec) -> MatroidInstance:

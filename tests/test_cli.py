@@ -398,6 +398,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         ["prefix-color", "16", "--limit", "16"],
         ["prefix-color", "2", "--limit", "13"],
         ["rectangle", huge, "--size", "2"],
+        # a budget with more numbers than its form, and a sampled sweep that evaluates nothing:
+        # the one drawn set spans K_4, so no exchange pair lies outside its closure
+        ["check-axioms", k4, "--budget", "exhaustive:2:9"],
+        ["check-axioms", k4, "--budget", "sampled:5:2:77"],
+        ["check-axioms", k4, "--budget", "sampled:1:6", "--seed", "0"],
     ):
         assert run([*args, "--out", tmp_path / "c.json"] if args else args) == 2, args
         errors = capsys.readouterr().err.splitlines()
@@ -430,6 +435,9 @@ def test_a_bad_value_gets_one_message_on_the_command_line_and_in_a_rerun(tmp_pat
          "s", "seed: expected an integer, got 's'"),
         (["check-axioms", k4, "--seed", "s"], "check-axioms", {"spec": k4_spec, "budget": exhaustive}, "s",
          "seed: expected an integer, got 's'"),
+        (["check-axioms", k4, "--budget", "sampled:x"], "check-axioms",
+         {"spec": k4_spec, "budget": {**exhaustive, "mode": "sampled", "count": "x"}}, None,
+         "count: expected an integer, got 'x'"),
         (["quad", z5, "--colors", "1", "--formula", "bogus"], "quad",
          {"group": {"cyclic": 5}, "coloring": {"colors": "1", "formula": "bogus"}}, None,
          "unknown coloring formula 'bogus'"),

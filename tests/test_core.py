@@ -6,7 +6,6 @@ from hullcover import core
 from hullcover.core import (
     Budget,
     BudgetError,
-    GroundSet,
     HullOracle,
     InputError,
     MatroidInstance,
@@ -82,7 +81,7 @@ def test_closure_rejects_out_of_range_identifiers():
 
 @pytest.mark.parametrize("M", [F2_D2, K4, INT_SUB, INT_LIN, Z4], ids=lambda m: m.oracle.kind)
 def test_closure_extensive_and_monotone(M):
-    universe = range(M.ground.size)
+    universe = range(M.size)
     for size in range(3):
         for F in itertools.combinations(universe, size):
             clF = closure(M, F)
@@ -126,7 +125,7 @@ def test_circuit_search_on_an_independent_set_makes_one_call_per_element():
         calls.append(x)
         return K16.oracle.member(x, F)
 
-    M = MatroidInstance(K16.ground, HullOracle("counted", counted), K16.loops)
+    M = MatroidInstance(K16.labels, HullOracle("counted", counted), K16.loops)
     tree = greedy_basis(K16)
     assert len(tree) == 15
     assert find_circuit_within(M, tree) is None
@@ -134,14 +133,14 @@ def test_circuit_search_on_an_independent_set_makes_one_call_per_element():
 
 
 def test_three_nonzero_vectors_of_f2_d2_form_a_circuit():
-    nonzero = tuple(x for x in F2_D2.ground.elements if x not in F2_D2.loops)
+    nonzero = tuple(x for x in F2_D2.elements if x not in F2_D2.loops)
     assert find_circuit_within(F2_D2, nonzero) == nonzero
 
 
 @pytest.mark.parametrize("M", [K3, K4, F2_D2], ids=lambda m: m.oracle.kind)
 def test_circuit_search_matches_brute_force(M):
-    universe = range(M.ground.size)
-    for size in range(M.ground.size + 1):
+    universe = range(M.size)
+    for size in range(M.size + 1):
         for A in itertools.combinations(universe, size):
             got = find_circuit_within(M, A)
             assert got == brute_force_circuit(M, A)
@@ -150,7 +149,7 @@ def test_circuit_search_matches_brute_force(M):
 
 def test_circuit_elements_lie_in_hull_of_rest():
     member = K4.oracle.member
-    circuit = find_circuit_within(K4, range(K4.ground.size))
+    circuit = find_circuit_within(K4, range(K4.size))
     C = frozenset(circuit)
     for x in circuit:
         assert member(x, C - {x})
@@ -180,15 +179,15 @@ def test_greedy_basis_on_z4_division_hull_is_one():
 @pytest.mark.parametrize("M", [F2_D2, K4, Z4, INT_LIN], ids=lambda m: m.oracle.kind)
 def test_greedy_basis_spans_on_matroid_instances(M):
     basis = greedy_basis(M)
-    assert closure(M, basis) == frozenset(M.ground.elements)
+    assert closure(M, basis) == frozenset(M.elements)
     member = M.oracle.member
-    for x in M.ground.elements:
+    for x in M.elements:
         if x not in basis:
             assert member(x, frozenset(basis))
 
 
 def test_greedy_basis_respects_supplied_order():
-    order = tuple(reversed(range(F2_D2.ground.size)))
+    order = tuple(reversed(range(F2_D2.size)))
     basis = greedy_basis(F2_D2, order)
     assert basis == (3, 2)  # (1,1) then (1,0); (0,1) is already spanned
     assert is_independent(F2_D2, basis)
@@ -256,7 +255,7 @@ def test_exhaustive_budget_refuses_oversized_sweeps():
         calls.append(x)
         return K4.oracle.member(x, F)
 
-    M = MatroidInstance(K4.ground, HullOracle("counted", counted), K4.loops)
+    M = MatroidInstance(K4.labels, HullOracle("counted", counted), K4.loops)
     refusals = [
         (check_hull_axioms, "hull-operator", 588),
         (check_idempotent, "idempotence", 504),
@@ -317,18 +316,18 @@ def test_exchange_sweep_prepares_one_span_per_table_entry(M):
             changes, last = changes + 1, F
         return M.oracle.member(x, F)
 
-    W = MatroidInstance(M.ground, HullOracle("counted", counted), M.loops)
+    W = MatroidInstance(M.labels, HullOracle("counted", counted), M.loops)
     assert check_exchange(W, Budget.exhaustive(3)).holds
     subsets = itertools.chain.from_iterable(
-        itertools.combinations(M.ground.elements, size) for size in range(4)
+        itertools.combinations(M.elements, size) for size in range(4)
     )
-    bound = sum(M.ground.size - len(closure(M, A)) + 1 for A in subsets)
+    bound = sum(M.size - len(closure(M, A)) + 1 for A in subsets)
     assert changes <= bound
 
 
 def _broken_instance(member):
-    ground = GroundSet(tuple(str(i) for i in range(5)))
-    return MatroidInstance(ground, HullOracle("broken", member), frozenset(), False)
+    labels = tuple(str(i) for i in range(5))
+    return MatroidInstance(labels, HullOracle("broken", member), frozenset(), False)
 
 
 def test_extensivity_violation_is_witnessed_and_reverifies():
@@ -359,7 +358,8 @@ def test_reverify_refuses_passing_reports():
 #
 # Verdicts and witnesses of all three sweeps, recorded as literals, so that a
 # change to the case order of an exhaustive sweep or to the draw order of a
-# sampled one shows up as a failure.  None means the sweep holds on the budget.
+# sampled one shows up as a failure.  None means the sweep holds on the budget,
+# and NO_CASE that a sampled sweep evaluated nothing and was refused.
 
 PINNED_INSTANCES = {
     "integer_subgroup-6": build_integer_hull(IntegerHullSpec(6, "subgroup")),
@@ -382,6 +382,7 @@ PINNED_INSTANCES = {
 }
 
 MONO_0_01 = {"property": "monotone", "A": [0], "B": [0, 1], "x": 4}
+NO_CASE = "evaluated no case"
 
 # (budget text, seed) -> witnesses of (hull-operator, idempotent, exchange)
 PINNED_WITNESSES = {
@@ -400,7 +401,7 @@ PINNED_WITNESSES = {
         ("exhaustive:3", None): (None, {"A": [2], "x": 3}, None),
         ("sampled:40", 0): (None, {"A": [2], "x": 3}, None),
         ("sampled:300:2", 7): (None, {"A": [0, 2], "x": 3}, None),
-        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:5:4", 12345): (None, None, NO_CASE),
         ("sampled:60:1", 3): (None, {"A": [4], "x": 3}, None),
     },
     "Z12": {
@@ -409,7 +410,7 @@ PINNED_WITNESSES = {
         ("exhaustive:3", None): (None, {"A": [3], "x": 4}, None),
         ("sampled:40", 0): (None, {"A": [3, 9], "x": 4}, None),
         ("sampled:300:2", 7): (None, {"A": [0, 8], "x": 3}, None),
-        ("sampled:5:4", 12345): (None, None, None),
+        ("sampled:5:4", 12345): (None, None, NO_CASE),
         ("sampled:60:1", 3): (None, {"A": [9], "x": 4}, None),
     },
     "Z2+Z4": {
@@ -495,6 +496,10 @@ def test_sweep_witnesses_are_pinned(name):
         budget = Budget.parse(text, seed=seed)
         checks = (check_hull_axioms, check_idempotent, check_exchange)
         for check, witness in zip(checks, expected):
+            if witness is NO_CASE:
+                with pytest.raises(BudgetError, match=NO_CASE):
+                    check(M, budget)
+                continue
             report = check(M, budget)
             where = (name, text, seed, report.axiom)
             assert report.witness == witness, where
@@ -510,7 +515,7 @@ def test_sweep_witnesses_are_pinned(name):
 
 def _fresh(M):
     """M with an empty closure memo."""
-    return MatroidInstance(M.ground, M.oracle, M.loops, M.is_matroid, M.objects)
+    return MatroidInstance(M.labels, M.oracle, M.loops, M.is_matroid, M.objects)
 
 
 EVICTION_INSTANCES = {

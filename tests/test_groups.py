@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -298,6 +299,17 @@ def test_coset_pair_preconditions_are_named():
         dependent_coset_pair(Z4, 4, 1, 1, 0, 2)
     with pytest.raises(InputError, match="n must be"):
         dependent_coset_pair(Z4, 2, 0, 1, 0, 2)
+
+
+def test_primality_above_2_40_is_refused_at_once():
+    # trial division would test 10^18 + 3 for hours; the bound refuses it first
+    started = time.perf_counter()
+    with pytest.raises(InputError, match="primality"):
+        dependent_coset_pair(Z4, 10**18 + 3, 1, 1, 0, 2)
+    assert time.perf_counter() - started < 0.5
+    assert not is_prime(1 << 40)
+    with pytest.raises(InputError, match="primality"):
+        is_prime((1 << 40) + 15)
 
 
 def test_coset_pairs_validate_across_small_p_groups():

@@ -146,7 +146,7 @@ def test_class_count_equals_max_layer_size():
 def test_no_class_contains_any_circuit_exhaustively():
     member_checked = 0
     for M in small_suite():
-        if M.ground.size > 12:
+        if M.size > 12:
             continue
         P = layered_partition(M)
         member = M.oracle.member
@@ -163,8 +163,8 @@ def test_partition_covers_ground_minus_loops():
     for M in small_suite():
         P = layered_partition(M)
         covered = set().union(*P.classes) if P.classes else set()
-        assert covered == set(M.ground.elements) - set(M.loops)
-        for x in M.ground.elements:
+        assert covered == set(M.elements) - set(M.loops)
+        for x in M.elements:
             if x in M.loops:
                 assert P.class_of[x] is None
             else:
@@ -176,7 +176,7 @@ def test_verify_partition_flags_a_dependent_class():
     fake = IndependentPartition(
         classes=(tuple(range(3)),),
         class_of=(0, 0, 0),
-        certificates=P.certificates,
+        circuits=P.circuits,
         decomposition=P.decomposition,
     )
     report = verify_partition(K3, fake)
@@ -191,7 +191,7 @@ def test_verify_partition_flags_overlap_and_coverage():
     overlapping = IndependentPartition(
         classes=(P.classes[0], P.classes[0]),
         class_of=P.class_of,
-        certificates=P.certificates,
+        circuits=P.circuits,
         decomposition=P.decomposition,
     )
     report = verify_partition(F2_D2, overlapping)
@@ -227,7 +227,7 @@ def test_default_partition_of_subgroup_window_is_all_singletons():
 
 def test_lying_matroid_flag_raises_internal_inconsistency():
     honest = build_integer_hull(IntegerHullSpec(5, "subgroup"))
-    liar = MatroidInstance(honest.ground, honest.oracle, honest.loops, True, honest.objects)
+    liar = MatroidInstance(honest.labels, honest.oracle, honest.loops, True, honest.objects)
     basis = (liar.index_of(2), liar.index_of(3))
     with pytest.raises(InternalInconsistencyError):
         layered_partition(liar, basis)

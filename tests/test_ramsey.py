@@ -199,7 +199,9 @@ def test_table_coloring_validation():
     for seed in ([1], {"a": 1}, 1.5):
         with pytest.raises(InputError):
             ProductColoring.seeded_uniform(3, 3, 2, seed)
-    assert ProductColoring.seeded_uniform(3, 3, 2, "7").descriptor["seed"] == 7
+    # an integer string seeds as its integer
+    from_text, from_int = (ProductColoring.seeded_uniform(3, 3, 2, seed) for seed in ("7", 7))
+    assert [from_text.row(y) for y in range(3)] == [from_int.row(y) for y in range(3)]
 
 
 # --- dependent monochrome quadruples ---------------------------------------------

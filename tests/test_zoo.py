@@ -61,7 +61,7 @@ def is_acyclic(n, edges):
 
 def test_f2_full_space_ground_and_loops():
     M = build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=2))
-    assert M.ground.size == 4
+    assert M.size == 4
     assert M.loops == {M.index_of((0, 0))}
 
 
@@ -131,8 +131,8 @@ def test_spanning_trees_are_independent():
 
 def test_graphic_independence_is_acyclicity():
     M = build_graphic_matroid(GraphSpec(4))
-    for size in range(M.ground.size + 1):
-        for A in itertools.combinations(range(M.ground.size), size):
+    for size in range(M.size + 1):
+        for A in itertools.combinations(range(M.size), size):
             edges = [M.objects[i] for i in A]
             assert is_independent(M, A) == is_acyclic(4, edges)
 
@@ -228,7 +228,7 @@ def test_division_hull_on_elementary_2_groups_matches_f2_span(d):
     A = build_abelian_linear_matroid(FiniteAbelianGroup((2,) * d))
     V = build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=d))
     assert A.objects == V.objects  # same canonical element order
-    universe = range(A.ground.size)
+    universe = range(A.size)
     for size in range(4):
         for F in itertools.combinations(universe, size):
             for x in universe:
@@ -287,7 +287,7 @@ def test_spec_parsing_all_kinds():
     ]
     for spec in specs:
         M = matroid_from_spec(spec)
-        assert M.ground.size > 0
+        assert M.size > 0
 
 
 def test_spec_parsing_rationals():
@@ -343,7 +343,7 @@ def test_prepared_spans_never_answer_stale(spec):
     # mutated-in-place F; a freshly built instance answers each query once
     rng = random.Random(5)
     M = matroid_from_spec(spec)
-    n = M.ground.size
+    n = M.size
     F = set()
     for _ in range(120):
         step = rng.random()
