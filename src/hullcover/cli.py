@@ -134,7 +134,7 @@ def _run_partition(f, seed):
     payload = {
         "kind": M.oracle.kind,
         "labels": list(M.labels),
-        "loops": list(dec.loops),
+        "loops": sorted(M.loops),
         "basis": list(dec.basis),
         "basis_labels": list(M.labels_of(dec.basis)),
         "layers": [
@@ -219,22 +219,15 @@ def _run_quad(f, seed):
     ncolors = descriptor("colors", _int)
     chi = group_coloring(group, descriptor, seed)
     cert = dependent_monochrome_quad(group, chi, ncolors)
+    parameters = {"a": cert.a, "b": cert.b, "x": cert.x, "y": cert.y}
     payload = {
         "group": group.descriptor,
         "colors": ncolors,
         "thresholds": quad_thresholds(ncolors),
-        "a": cert.a,
-        "b": cert.b,
-        "x": cert.x,
-        "y": cert.y,
-        "parameter_labels": {
-            "a": group.labels[cert.a],
-            "b": group.labels[cert.b],
-            "x": group.labels[cert.x],
-            "y": group.labels[cert.y],
-        },
+        **parameters,
+        "parameter_labels": {key: group.labels[g] for key, g in parameters.items()},
         "elements": list(cert.elements),
-        "element_labels": list(cert.labels),
+        "element_labels": [group.labels[g] for g in cert.elements],
         "color": cert.color,
         "relation_verified": cert.relation_holds,
         "distinct": len(set(cert.elements)) == 4,

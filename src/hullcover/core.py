@@ -147,14 +147,15 @@ class HullOracle:
 
 @dataclass(eq=False)
 class MatroidInstance:
-    """A labelled ground set together with a hull oracle and its cached loop set.
+    """A labelled ground set together with a hull oracle.
 
-    The elements are the indices 0..n-1 of ``labels``, in that fixed order.
-    ``loops`` is the closure of the empty set.  ``is_matroid`` records whether
-    the oracle is flagged (declared or verified) to satisfy idempotence and
-    the exchange property; certificate failures on flagged instances are
-    treated as oracle bugs.  ``objects`` optionally carries the
-    semantic payload behind each index (vectors, edges, group elements).
+    The elements are the indices 0..n-1 of ``labels`` (kept as ``str``), in
+    that fixed order.  ``loops`` is the closure of the empty set, read
+    through the closure memo.  ``is_matroid`` records whether the oracle is
+    flagged (declared or verified) to satisfy idempotence and the exchange
+    property; certificate failures on flagged instances are treated as
+    oracle bugs.  ``objects`` optionally carries the semantic payload
+    behind each index (vectors, edges, group elements).
 
     Instances are immutable after construction apart from a bounded
     internal closure memo (see ``closure``); all operations on them are pure.
@@ -162,16 +163,17 @@ class MatroidInstance:
 
     labels: tuple
     oracle: HullOracle
-    loops: frozenset
     is_matroid: bool = True
     objects: tuple = ()
     _closures: dict = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def build(cls, labels, oracle, is_matroid=True, objects=()):
-        member = oracle.member
-        loops = frozenset(x for x in range(len(labels)) if member(x, frozenset()))
-        return cls(tuple(labels), oracle, loops, is_matroid, tuple(objects))
+    def __post_init__(self):
+        self.labels = tuple(map(str, self.labels))
+        self.objects = tuple(self.objects)
+
+    @property
+    def loops(self) -> frozenset:
+        return closure(self, frozenset())
 
     @property
     def size(self) -> int:
@@ -502,7 +504,7 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
 
 
 def reverify_witness(M: MatroidInstance, report: AxiomReport) -> bool:
-    """Re-evaluate a violation witness against the oracle."""
+    """Re-evaluate a violation witness with the oracle's ``member`` alone, never the closure memo."""
     if report.verdict != VIOLATED:
         raise InputError("report holds on budget; there is no witness to re-verify")
     w = report.witness
@@ -511,11 +513,13 @@ def reverify_witness(M: MatroidInstance, report: AxiomReport) -> bool:
         A = frozenset(w["A"])
         return member(w["x"], A | {w["y"]}) and not member(w["y"], A | {w["x"]})
     if report.axiom == "idempotent":
+        # x lies in exactly one of S = <A> and <S>, with S listed by the oracle
         A = frozenset(w["A"])
-        return closure(M, closure(M, A)) != closure(M, A)
+        S = frozenset(z for z in M.elements if member(z, A))
+        return member(w["x"], A) != member(w["x"], S)
     if report.axiom == "hull-operator":
         if w["property"] == "extensive":
             return not member(w["x"], frozenset(w["A"]))
         F, G = frozenset(w["A"]), frozenset(w["B"])
-        return F <= G and w["x"] in closure(M, F) and w["x"] not in closure(M, G)
+        return F <= G and member(w["x"], F) and not member(w["x"], G)
     raise InputError(f"unknown axiom {report.axiom!r}")

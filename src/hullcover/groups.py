@@ -172,13 +172,8 @@ def n_torsion(G: FiniteAbelianGroup, n: int) -> frozenset:
 class TorsionReport:
     """Primary components of a finite group, with the direct-sum verification."""
 
-    group: FiniteAbelianGroup
     components: dict
     direct_sum_verified: bool
-
-    @property
-    def component_sizes(self) -> dict:
-        return {p: len(c) for p, c in self.components.items()}
 
 
 def _sums(G: FiniteAbelianGroup, parts) -> set:
@@ -205,7 +200,7 @@ def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     verified = prod(map(len, parts)) == len(_sums(G, parts)) == G.order and all(
         set(c) & set(d) == {G.zero} for c, d in itertools.combinations(parts, 2)
     )
-    return TorsionReport(G, components, verified)
+    return TorsionReport(components, verified)
 
 
 def is_linearly_independent(G: FiniteAbelianGroup, A) -> bool:
@@ -238,12 +233,6 @@ class CosetPairCertificate:
     so p^n*(a+x) - p^n*(a+y) = 0 with both terms nonzero.
     """
 
-    group: FiniteAbelianGroup
-    p: int
-    n: int
-    a: tuple
-    x: tuple
-    y: tuple
     pair: tuple
     multiplier: int
     common_image: tuple
@@ -269,7 +258,7 @@ def dependent_coset_pair(G: FiniteAbelianGroup, p: int, n: int, a, x, y) -> Cose
     qa = G.scalar(q, a)
     if not (G.scalar(q, u) == qa == G.scalar(q, v)) or qa == G.zero:
         raise InternalInconsistencyError("coset pair arithmetic failed to close")
-    return CosetPairCertificate(G, p, n, a, x, y, (u, v), q, qa)
+    return CosetPairCertificate((u, v), q, qa)
 
 
 def invariant_factor_groups(max_order: int) -> list:

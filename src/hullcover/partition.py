@@ -11,6 +11,7 @@ is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import (
@@ -27,15 +28,10 @@ from .core import (
 class LayerDecomposition:
     basis: tuple
     layers: tuple
-    loops: tuple
-
-    @property
-    def layer_sizes(self) -> tuple:
-        return tuple(len(layer) for layer in self.layers)
 
     @property
     def max_layer_size(self) -> int:
-        return max(self.layer_sizes, default=0)
+        return max(map(len, self.layers), default=0)
 
 
 def layer_decomposition(M: MatroidInstance, basis=None) -> LayerDecomposition:
@@ -61,7 +57,7 @@ def layer_decomposition(M: MatroidInstance, basis=None) -> LayerDecomposition:
         cur = closure(M, frozenset(kept))
         layers.append(tuple(sorted(cur - prev)))
         prev = cur
-    return LayerDecomposition(basis, tuple(layers), tuple(sorted(M.loops)))
+    return LayerDecomposition(basis, tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -130,14 +126,9 @@ def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionRe
     the stored circuits; the first failing class is reported with its
     circuit.
     """
-    seen: set = set()
-    disjoint = True
-    for cls in P.classes:
-        for x in cls:
-            if x in seen:
-                disjoint = False
-            seen.add(x)
-    expected = set(M.elements) - set(M.loops)
+    seen = set(chain.from_iterable(P.classes))
+    disjoint = len(seen) == sum(map(len, P.classes))
+    expected = set(M.elements) - M.loops
     covers = seen == expected
     failing_class = None
     circuit = None

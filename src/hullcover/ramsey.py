@@ -242,29 +242,43 @@ def group_from_abelian(G: FiniteAbelianGroup) -> FiniteGroup:
     )
 
 
+def _generators(table) -> list:
+    """A generating set: each element joins unless right products of earlier ones reach it."""
+    gens, reached = [], set()
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached, todo = set(gens), list(gens)
+            while todo:
+                new = set(map(table[todo.pop()].__getitem__, gens)) - reached
+                reached |= new
+                todo += new
+    return gens
+
+
 def table_group(table) -> FiniteGroup:
-    """Group from an explicit multiplication table table[a][b] = a*b."""
+    """Group from an explicit multiplication table table[a][b] = a*b.
+
+    Rows that permute 0..n-1, a two-sided identity and associativity make a
+    group.  Associativity is Light's test: (a*s)*b = a*(s*b) for each s of a
+    generating set suffices, since the s that pass are closed under products.
+    """
     table = tuple(tuple(_int(v, "group table") for v in row) for row in table)
     n = len(table)
     for a, row in enumerate(table):
         if len(row) != n or sorted(row) != list(range(n)):
             raise InputError(f"table row {a} is not a permutation of 0..{n - 1}")
-    for b in range(n):
-        if sorted(table[a][b] for a in range(n)) != list(range(n)):
-            raise InputError(f"table column {b} is not a permutation of 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
+    # a two-sided identity is the only left identity, so it has the first identity row
+    ordered = tuple(range(n))
+    identity = table.index(ordered) if ordered in table else None
+    if identity is None or any(row[identity] != a for a, row in enumerate(table)):
         raise InputError("table has no identity element")
-    inverses = []
-    for a in range(n):
-        inv = next((b for b in range(n) if table[a][b] == identity), None)
-        if inv is None or table[inv][a] != identity:
-            raise InputError(f"element {a} has no two-sided inverse")
-        inverses.append(inv)
+    for s in _generators(table):
+        for a, row in enumerate(table):
+            if table[row[s]] != tuple(map(row.__getitem__, table[s])):
+                b = next(b for b in range(n) if table[row[s]][b] != row[table[s][b]])
+                raise InputError(f"table is not associative: ({a}*{s})*{b} != {a}*({s}*{b})")
+    inverses = [row.index(identity) for row in table]
     return FiniteGroup(
         [str(i) for i in range(n)],
         lambda a, b: table[a][b],
@@ -313,9 +327,8 @@ def quad_thresholds(ncolors: int) -> dict:
 class QuadCertificate:
     """Four distinct same-colored elements ax, bx, ay, by with ax = ay*(by)^-1*bx.
 
-    All fields hold element indices of the group; ``labels`` echoes the four
-    product elements in display form.  The relation makes the set dependent:
-    any member lies in the subgroup generated by the rest.
+    All fields hold element indices of the group.  The relation makes the
+    set dependent: any member lies in the subgroup generated by the rest.
     """
 
     a: int
@@ -323,7 +336,6 @@ class QuadCertificate:
     x: int
     y: int
     elements: tuple
-    labels: tuple
     color: int
     relation_holds: bool
 
@@ -382,9 +394,7 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
     relation = group.mul(group.mul(ay, group.inv(by)), bx) == ax
     if not relation:
         raise InternalInconsistencyError("group relation ax = ay*(by)^-1*bx failed")
-    return QuadCertificate(
-        a, b, x, y, quad, tuple(group.labels[g] for g in quad), rect.color, relation
-    )
+    return QuadCertificate(a, b, x, y, quad, rect.color, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +429,6 @@ class EdgeColoring:
     def edges(self):
         for i, (u, v) in enumerate(itertools.combinations(range(self.n), 2)):
             yield u, v, self.colors[i]
-
-    def class_edges(self, color) -> list:
-        return [(u, v) for u, v, c in self.edges() if c == color]
 
 
 # the largest k a prefix coloring may be asked for: K_{2^12} has 8.4 M edges

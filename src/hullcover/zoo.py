@@ -130,7 +130,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         kind = f"vector_fp(p={p})"
     elif spec.field == "q":
         p = 0
-        vectors = [tuple(Fraction(c) for c in v) for v in spec.vectors]
+        vectors = [tuple(map(parse_rational, v)) for v in spec.vectors]
         kind = "vector_q"
     else:
         raise InputError(f"unknown vector field {spec.field!r}; use 'fp' or 'q'")
@@ -152,7 +152,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         raise InputError(f"vectors have mixed dimensions {sorted(dims)}")
     labels = ["(" + ",".join(str(c) for c in v) + ")" for v in vectors]
     oracle = HullOracle(kind, _member(span))
-    return MatroidInstance.build(labels, oracle, True, tuple(vectors))
+    return MatroidInstance(labels, oracle, True, vectors)
 
 
 def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
@@ -191,7 +191,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
 
     labels = [f"e{u}-{v}" for u, v in edges]
     oracle = HullOracle("graphic", _member(span))
-    return MatroidInstance.build(labels, oracle, True, tuple(edges))
+    return MatroidInstance(labels, oracle, True, edges)
 
 
 def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
@@ -223,7 +223,7 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
 
     labels = [G.label(e) for e in elems]
     oracle = HullOracle("abelian", _member(span))
-    return MatroidInstance.build(labels, oracle, _division_hull_is_matroid(G), elems)
+    return MatroidInstance(labels, oracle, _division_hull_is_matroid(G), elems)
 
 
 def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
@@ -262,7 +262,7 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
 
     labels = [str(v) for v in values]
     oracle = HullOracle(kind, _member(span))
-    return MatroidInstance.build(labels, oracle, flagged, values)
+    return MatroidInstance(labels, oracle, flagged, values)
 
 
 def matroid_from_spec(spec) -> MatroidInstance:
@@ -280,8 +280,7 @@ def matroid_from_spec(spec) -> MatroidInstance:
         return build_vector_matroid(VectorMatroidSpec("fp", p=p, vectors=f("vectors", _int_rows)))
     if kind == "vector_q":
         rows = f("vectors", partial(_int_rows, item=lambda c, what: c))
-        vectors = [[parse_rational(c) for c in row] for row in rows]
-        return build_vector_matroid(VectorMatroidSpec("q", vectors=vectors))
+        return build_vector_matroid(VectorMatroidSpec("q", vectors=rows))
     if kind == "graphic":
         if "complete" in f:
             return build_graphic_matroid(GraphSpec(f("complete", _int)))
@@ -297,10 +296,11 @@ def matroid_from_spec(spec) -> MatroidInstance:
 
 
 def parse_rational(text) -> Fraction:
-    """Exact rational from an int or a "p/q" string."""
-    if isinstance(text, bool) or not isinstance(text, (int, str)):
+    """Exact rational from an int, a Fraction or an integer "p" or "p/q" string."""
+    if isinstance(text, bool) or not isinstance(text, (int, str, Fraction)):
         raise InputError(f"bad rational {text!r}: expected an integer or a 'p/q' string")
     try:
-        return Fraction(text)
+        # decimal and exponent strings are refused: Fraction expands "1e5000" past what a label prints
+        return Fraction(*map(int, text.split("/", 1))) if isinstance(text, str) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None

@@ -181,6 +181,18 @@ def test_quad_premise_error_exits_2(tmp_path):
     assert run(["quad", group, "--colors", "1", "--out", tmp_path / "x.json"]) == 2
 
 
+def test_quad_on_a_table_that_is_not_a_group_exits_2_with_one_line(tmp_path, capsys):
+    # L5 x Z_2 for a non-associative loop L5 of order 5: latin, with an
+    # identity, so only associativity refuses it
+    L5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    L10 = [[((i // 5 + j // 5) % 2) * 5 + L5[i % 5][j % 5] for j in range(10)] for i in range(10)]
+    group = write_json(tmp_path / "L10.json", {"table": L10})
+    assert run(["quad", group, "--colors", "1", "--out", tmp_path / "x.json"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("hullcover: error: "), errors
+    assert not (tmp_path / "x.json").exists()
+
+
 # --- prefix-color and group -----------------------------------------------------------
 
 
@@ -262,6 +274,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         # a rational is an int or a "p/q" string, never a float or a boolean
         {"kind": "vector_q", "vectors": [[0.1, 1], [1, 0]]},
         {"kind": "vector_q", "vectors": [[True, 0], [1, 1]]},
+        # nor an exponent, which would expand past the digits a label may print
+        {"kind": "vector_q", "vectors": [["1e5000", 1], [1, 0]]},
         {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [2]]},
         {"kind": "graphic", "vertices": 3, "edges": [[0, "y"]]},
         {"kind": "graphic", "vertices": 3, "edges": [4]},

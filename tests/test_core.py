@@ -62,6 +62,12 @@ def test_closure_of_empty_set_is_zero_vector():
     assert closure(F2_D2, ()) == {F2_D2.index_of((0, 0))}
 
 
+def test_labels_are_text_and_loops_are_the_closure_of_the_empty_set():
+    M = MatroidInstance([10, 20, 30], HullOracle("even", lambda x, F: x in F or x % 2 == 0))
+    assert M.label(0) == "10" and M.labels == ("10", "20", "30")
+    assert M.loops == {0, 2} and M._closures == {frozenset(): M.loops}
+
+
 def test_closure_of_single_vector():
     got = closure(F2_D2, {F2_D2.index_of((1, 0))})
     assert got == {F2_D2.index_of((0, 0)), F2_D2.index_of((1, 0))}
@@ -125,7 +131,7 @@ def test_circuit_search_on_an_independent_set_makes_one_call_per_element():
         calls.append(x)
         return K16.oracle.member(x, F)
 
-    M = MatroidInstance(K16.labels, HullOracle("counted", counted), K16.loops)
+    M = MatroidInstance(K16.labels, HullOracle("counted", counted))
     tree = greedy_basis(K16)
     assert len(tree) == 15
     assert find_circuit_within(M, tree) is None
@@ -255,7 +261,7 @@ def test_exhaustive_budget_refuses_oversized_sweeps():
         calls.append(x)
         return K4.oracle.member(x, F)
 
-    M = MatroidInstance(K4.labels, HullOracle("counted", counted), K4.loops)
+    M = MatroidInstance(K4.labels, HullOracle("counted", counted))
     refusals = [
         (check_hull_axioms, "hull-operator", 588),
         (check_idempotent, "idempotence", 504),
@@ -316,7 +322,7 @@ def test_exchange_sweep_prepares_one_span_per_table_entry(M):
             changes, last = changes + 1, F
         return M.oracle.member(x, F)
 
-    W = MatroidInstance(M.labels, HullOracle("counted", counted), M.loops)
+    W = MatroidInstance(M.labels, HullOracle("counted", counted))
     assert check_exchange(W, Budget.exhaustive(3)).holds
     subsets = itertools.chain.from_iterable(
         itertools.combinations(M.elements, size) for size in range(4)
@@ -327,7 +333,7 @@ def test_exchange_sweep_prepares_one_span_per_table_entry(M):
 
 def _broken_instance(member):
     labels = tuple(str(i) for i in range(5))
-    return MatroidInstance(labels, HullOracle("broken", member), frozenset(), False)
+    return MatroidInstance(labels, HullOracle("broken", member), False)
 
 
 def test_extensivity_violation_is_witnessed_and_reverifies():
@@ -515,7 +521,21 @@ def test_sweep_witnesses_are_pinned(name):
 
 def _fresh(M):
     """M with an empty closure memo."""
-    return MatroidInstance(M.labels, M.oracle, M.loops, M.is_matroid, M.objects)
+    return MatroidInstance(M.labels, M.oracle, M.is_matroid, M.objects)
+
+
+def test_witness_reverification_reads_the_oracle_not_the_closure_memo():
+    # F_2^2 and F_2^3 are matroids, so both witnesses are fabricated, and a
+    # poisoned memo entry must not make either re-verify
+    M = _fresh(F2_D2)
+    M._closures[frozenset({1})] = frozenset({0, 1, 2})  # <{(0,1)}> is {0, 1}
+    fake = core.AxiomReport("idempotent", core.VIOLATED, {"A": [1], "x": 3}, "fabricated")
+    assert not reverify_witness(M, fake)
+    M = build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=3))
+    M._closures[frozenset({1, 2})] = frozenset({2})  # <{1, 2}> holds 1
+    witness = {"property": "monotone", "A": [1], "B": [1, 2], "x": 1}
+    fake = core.AxiomReport("hull-operator", core.VIOLATED, witness, "fabricated")
+    assert not reverify_witness(M, fake)
 
 
 EVICTION_INSTANCES = {

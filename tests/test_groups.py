@@ -208,7 +208,7 @@ def test_primary_decomposition_examples():
     assert len(single.components[2]) == 8
 
     rep23 = primary_decomposition(FiniteAbelianGroup((2, 3)))
-    assert rep23.component_sizes == {2: 2, 3: 3}
+    assert {p: len(c) for p, c in rep23.components.items()} == {2: 2, 3: 3}
 
 
 def test_overlapping_parts_are_not_a_direct_sum(monkeypatch):
@@ -219,7 +219,7 @@ def test_overlapping_parts_are_not_a_direct_sum(monkeypatch):
         "hullcover.groups.n_torsion", lambda G, n: frozenset({(0,), (2,)}) if n == 2 else real(G, n)
     )
     rep = primary_decomposition(Z6)
-    assert rep.component_sizes == {2: 2, 3: 3}
+    assert {p: len(c) for p, c in rep.components.items()} == {2: 2, 3: 3}
     assert not rep.direct_sum_verified
 
 

@@ -83,6 +83,11 @@ def exists_monochrome_dependent_quad(group, chi):
     return False
 
 
+def _class_edges(coloring, color):
+    """The edges of one color class, in pair order."""
+    return [(u, v) for u, v, c in coloring.edges() if c == color]
+
+
 def assert_cycle_in_class(coloring, color, cycle):
     assert len(set(cycle)) == len(cycle) >= 3
     for i, u in enumerate(cycle):
@@ -211,7 +216,7 @@ def test_quad_on_z101_constant_coloring():
     group = cyclic_group(101)
     chi = group_coloring(group, {"formula": "constant", "colors": 1})
     cert = dependent_monochrome_quad(group, chi, 1)
-    assert cert.labels == ("4", "5", "6", "7")
+    assert [group.labels[g] for g in cert.elements] == ["4", "5", "6", "7"]
     assert (cert.a, cert.b, cert.x, cert.y) == (1, 2, 3, 5)
     assert cert.relation_holds and cert.color == 0
 
@@ -220,7 +225,7 @@ def test_quad_on_z26_parity_coloring():
     group = cyclic_group(26)
     chi = group_coloring(group, {"formula": "mod", "colors": 2})
     cert = dependent_monochrome_quad(group, chi, 2)
-    assert cert.labels == ("5", "7", "9", "11")
+    assert [group.labels[g] for g in cert.elements] == ["5", "7", "9", "11"]
     assert cert.color == 1
     assert len(set(cert.elements)) == 4
     assert exists_monochrome_dependent_quad(group, chi)
@@ -268,6 +273,32 @@ def test_table_group_validation():
         table_group([[0, 1], [1, 0.5]])
 
 
+# a loop of order 5: latin, with identity 0, but (1*1)*2 = 2 and 1*(1*2) = 4
+L5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_table_group_refuses_a_table_that_is_not_associative():
+    with pytest.raises(InputError, match=r"not associative: \(1\*1\)\*2 != 1\*\(1\*2\)"):
+        table_group(L5)
+
+
+def test_table_group_accepts_groups_with_any_identity_and_reads_inverses_from_rows():
+    # S_3 as permutations of (0, 1, 2), composed right to left
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+    group = table_group(table)
+    assert group.identity == 0
+    for a in range(6):
+        assert group.mul(a, group.inv(a)) == group.mul(group.inv(a), a) == 0
+    # Z_7 with its identity named 3
+    names = [3, 0, 1, 2, 4, 5, 6]
+    table = [[names[(names.index(a) + names.index(b)) % 7] for b in range(7)] for a in range(7)]
+    group = table_group(table)
+    assert group.identity == 3
+    assert all(group.mul(a, group.inv(a)) == 3 for a in range(7))
+
+
 def test_group_coloring_validation():
     group = cyclic_group(5)
     for descriptor in ({"colors": 2.5}, {"formula": "seeded-uniform", "colors": 2, "seed": 1.5},
@@ -292,13 +323,13 @@ def test_quad_seeded_sweeps_always_verify():
 def test_prefix_coloring_k1_is_a_single_edge():
     E = prefix_coloring(1)
     assert E.n == 2 and E.ncolors == 1
-    assert E.class_edges(0) == [(0, 1)]
+    assert _class_edges(E, 0) == [(0, 1)]
 
 
 def test_prefix_coloring_k2_classes():
     E = prefix_coloring(2)
-    assert E.class_edges(0) == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert E.class_edges(1) == [(0, 1), (2, 3)]
+    assert _class_edges(E, 0) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert _class_edges(E, 1) == [(0, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -326,7 +357,7 @@ def test_prefix_coloring_has_no_monochrome_odd_cycle(k):
 def test_exhaustive_cycle_enumeration_on_prefix_colorings(k):
     E = prefix_coloring(k)
     for color in range(E.ncolors):
-        cycles = all_simple_cycles(E.n, E.class_edges(color))
+        cycles = all_simple_cycles(E.n, _class_edges(E, color))
         assert all(len(c) % 2 == 0 for c in cycles)
         if color == 0:
             assert any(len(c) == 4 for c in cycles)
@@ -400,9 +431,6 @@ def test_cycle_verifiers_agree_with_networkx():
 
 
 def test_each_verifier_makes_one_pass_over_the_edges(monkeypatch):
-    def refuse(self, color):
-        raise AssertionError("a verifier read one color class")
-
     passes = []
     edges = EdgeColoring.edges
 
@@ -410,7 +438,6 @@ def test_each_verifier_makes_one_pass_over_the_edges(monkeypatch):
         passes.append(self)
         return edges(self)
 
-    monkeypatch.setattr(EdgeColoring, "class_edges", refuse)
     monkeypatch.setattr(EdgeColoring, "edges", counted)
     E = prefix_coloring(4)
     for verify in (verify_no_monochrome_odd_cycle, verify_forest_classes):

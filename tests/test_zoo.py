@@ -290,6 +290,15 @@ def test_spec_parsing_all_kinds():
         assert M.size > 0
 
 
+def test_library_rationals_are_read_as_spec_rationals_are():
+    # a Fraction is exact; a float or a bool is refused by the library as by a spec
+    M = build_vector_matroid(VectorMatroidSpec("q", vectors=[[Fraction(1, 10), 1], ["1/10", 1]]))
+    assert M.labels == ("(1/10,1)", "(1/10,1)")
+    for entry in (0.1, True):
+        with pytest.raises(InputError, match="bad rational"):
+            build_vector_matroid(VectorMatroidSpec("q", vectors=[[entry, 1], [1, 0]]))
+
+
 def test_spec_parsing_rationals():
     M = matroid_from_spec({"kind": "vector_q", "vectors": [["1/2", "0"], ["1", "0"]]})
     assert not is_independent(M, (0, 1))
@@ -298,6 +307,10 @@ def test_spec_parsing_rationals():
         parse_rational("1/0")
     with pytest.raises(InputError):
         parse_rational("x")
+    assert parse_rational(" -6/4") == parse_rational(Fraction(-3, 2)) == Fraction(-3, 2)
+    for text in ("1e5000", "0.5", "1/2/3"):
+        with pytest.raises(InputError, match="bad rational"):
+            parse_rational(text)
 
 
 def test_spec_parsing_errors_name_fields():
