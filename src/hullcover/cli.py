@@ -79,6 +79,8 @@ def _load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an int past str's digit limit, deep nesting
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _decorate_witness(M, witness):
@@ -214,14 +216,16 @@ def _run_rectangle(f, seed):
 
 
 def _run_quad(f, seed):
-    group = _group(f("group", Fields))
+    read = f("group", Fields)
+    group = _group(read)
     descriptor = f("coloring", Fields)
     ncolors = descriptor("colors", _int)
     chi = group_coloring(group, descriptor, seed)
     cert = dependent_monochrome_quad(group, chi, ncolors)
     parameters = {"a": cert.a, "b": cert.b, "x": cert.x, "y": cert.y}
+    ax, bx, ay, by = cert.elements
     payload = {
-        "group": group.descriptor,
+        "group": read.record,  # as read: the manifest's parameters.group
         "colors": ncolors,
         "thresholds": quad_thresholds(ncolors),
         **parameters,
@@ -229,7 +233,7 @@ def _run_quad(f, seed):
         "elements": list(cert.elements),
         "element_labels": [group.labels[g] for g in cert.elements],
         "color": cert.color,
-        "relation_verified": cert.relation_holds,
+        "relation_verified": group.mul(group.mul(ay, group.inv(by)), bx) == ax,
         "distinct": len(set(cert.elements)) == 4,
         "monochrome": len({chi(g) for g in cert.elements}) == 1,
     }

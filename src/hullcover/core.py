@@ -122,7 +122,7 @@ class PremiseError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive sweep would exceed its evaluation cap."""
+    """A sweep's budget exceeds its evaluation cap, or a sampled sweep evaluated no case."""
 
     def __init__(self, message, estimate=None):
         super().__init__(message)
@@ -267,27 +267,20 @@ def find_circuit_within(M: MatroidInstance, A) -> Optional[tuple]:
     return None
 
 
-def greedy_basis(M: MatroidInstance, order=None) -> tuple:
-    """Scan elements in order, keeping x iff it is outside the hull of the kept ones.
+def greedy_basis(M: MatroidInstance) -> tuple:
+    """Scan the ground set in order, keeping x iff it is outside the hull of the kept ones.
 
-    The default order is the canonical ground-set order.  The result is a
+    Each hull is ``closure(M, kept)`` read through the memo, so a basis reads
+    exactly the prefix closures its layers read next.  The result is a
     maximal independent set whose closure covers the ground set on
     matroid-flagged instances.
     """
-    n = M.size
-    if order is None:
-        scan = range(n)
-    else:
-        scan = tuple(order)
-        if sorted(scan) != list(range(n)):
-            raise InputError("order must be a permutation of the ground set")
-    member = M.oracle.member
     kept: list = []
-    kept_set: frozenset = frozenset()
-    for x in scan:
-        if not member(x, kept_set):
+    hull = M.loops
+    for x in M.elements:
+        if x not in hull:
             kept.append(x)
-            kept_set = kept_set | {x}
+            hull = closure(M, kept)
     return tuple(kept)
 
 
@@ -378,16 +371,18 @@ _SWEEP_NAMES = {"idempotent": "idempotence"}
 def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
     """Report the first witness that ``exhaustive(sets)`` or ``sampled(sets, rng)``
     yields over the budget's subsets, refusing first if the estimated oracle
-    evaluations (subsets times ``cost_per_set(n, K)``) exceed the cap.
+    evaluations (subsets times ``cost_per_set(n, K)``), or a sampled budget's
+    draws, exceed the cap.
     A sampled sweep whose draws yield no case has checked nothing, and is refused.
     """
     n = M.size
     k = min(budget.max_subset_size, n)
+    name = _SWEEP_NAMES.get(axiom, axiom)
     if budget.mode == "exhaustive":
         estimate = sum(comb(n, s) for s in range(k + 1)) * cost_per_set(n, k)
         if estimate > budget.max_evaluations:
             raise BudgetError(
-                f"exhaustive {_SWEEP_NAMES.get(axiom, axiom)} sweep over {n} elements "
+                f"exhaustive {name} sweep over {n} elements "
                 f"with |A| <= {budget.max_subset_size} needs about {estimate} oracle "
                 f"evaluations (cap {budget.max_evaluations}); use a sampled budget with a seed",
                 estimate=estimate,
@@ -396,6 +391,11 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
         sets = map(frozenset, itertools.chain.from_iterable(subsets))
         cases = exhaustive(sets)
     else:
+        if budget.count > budget.max_evaluations:
+            raise BudgetError(
+                f"sampled {name} sweep of {budget.count} draws exceeds the cap of "
+                f"{budget.max_evaluations}; use fewer draws"
+            )
         rng = random.Random(budget.seed)
         sets = (frozenset(rng.sample(range(n), rng.randint(0, k))) for _ in range(budget.count))
         cases = sampled(sets, rng)
@@ -403,7 +403,7 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
     first = next(cases, False)
     if first is False and budget.mode == "sampled":
         raise BudgetError(
-            f"sampled {_SWEEP_NAMES.get(axiom, axiom)} sweep over {n} elements evaluated "
+            f"sampled {name} sweep over {n} elements evaluated "
             f"no case in {budget.count} draws; use more draws or another seed"
         )
     witness = first or next(filter(None, cases), None)

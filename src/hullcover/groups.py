@@ -69,17 +69,14 @@ class FiniteAbelianGroup:
     @cached_property
     def elements(self) -> tuple:
         if self.order > _MAX_LISTED:
-            raise InputError(f"group order {self.order} exceeds the {_MAX_LISTED} elements one run may list")
+            raise InputError(f"group order exceeds the {_MAX_LISTED} elements one run may list")
         return tuple(itertools.product(*(range(n) for n in self.orders)))
 
     @cached_property
     def multiples(self) -> tuple:
         """``multiples[i]``: n * elements[i] for n = 1, ..., exponent."""
         if self.order * self.exponent > _MAX_LISTED:
-            raise InputError(
-                f"order {self.order} times exponent {self.exponent} exceeds the {_MAX_LISTED} "
-                "multiples one run may list"
-            )
+            raise InputError(f"order times exponent exceeds the {_MAX_LISTED} multiples one run may list")
         return tuple(
             tuple(self.scalar(n, e) for n in range(1, self.exponent + 1)) for e in self.elements
         )
@@ -163,7 +160,7 @@ def n_torsion(G: FiniteAbelianGroup, n: int) -> frozenset:
         raise InputError(f"torsion index must be >= 1, got {n}")
     size = prod(gcd(m, n) for m in G.orders)
     if size > _MAX_LISTED:
-        raise InputError(f"the {n}-torsion has {size} elements, more than the {_MAX_LISTED} one run may list")
+        raise InputError(f"the {n}-torsion has more than the {_MAX_LISTED} elements one run may list")
     per_coord = [range(0, m, m // gcd(m, n)) for m in G.orders]
     return frozenset(itertools.product(*per_coord))
 
@@ -193,7 +190,7 @@ def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     parts share only zero.
     """
     if G.order > _MAX_LISTED:
-        raise InputError(f"group order {G.order} exceeds the {_MAX_LISTED} sums one run may list")
+        raise InputError(f"group order exceeds the {_MAX_LISTED} sums one run may list")
     primes = sorted(_prime_factors(G.exponent).items())
     components = {p: tuple(sorted(n_torsion(G, p**e))) for p, e in primes}
     parts = components.values()
@@ -221,7 +218,7 @@ def is_linearly_independent(G: FiniteAbelianGroup, A) -> bool:
     if count > G.order:
         return False
     if count > _MAX_LISTED:
-        raise InputError(f"{count} sums of multiples exceed the {_MAX_LISTED} one run may list")
+        raise InputError(f"the sums of multiples exceed the {_MAX_LISTED} one run may list")
     return len(_sums(G, ([G.scalar(k, a) for k in range(n)] for a, n in orders.items()))) == count
 
 

@@ -206,12 +206,11 @@ def verify_rectangle(coloring: ProductColoring, rect: Rectangle) -> bool:
 class FiniteGroup:
     """Finite group with elements indexed 0..n-1 in a fixed canonical order."""
 
-    def __init__(self, labels, mul, inv, identity, descriptor):
+    def __init__(self, labels, mul, inv, identity):
         self.labels = tuple(labels)
         self.mul = mul
         self.inv = inv
         self.identity = identity
-        self.descriptor = dict(descriptor)
 
     @property
     def order(self) -> int:
@@ -226,7 +225,6 @@ def cyclic_group(m: int) -> FiniteGroup:
         lambda a, b: (a + b) % m,
         lambda a: (-a) % m,
         0,
-        {"cyclic": m},
     )
 
 
@@ -238,7 +236,6 @@ def group_from_abelian(G: FiniteAbelianGroup) -> FiniteGroup:
         lambda a, b: index[G.add(elems[a], elems[b])],
         lambda a: index[G.neg(elems[a])],
         index[G.zero],
-        {"orders": list(G.orders)},
     )
 
 
@@ -284,7 +281,6 @@ def table_group(table) -> FiniteGroup:
         lambda a, b: table[a][b],
         lambda a: inverses[a],
         identity,
-        {"table": [list(r) for r in table]},
     )
 
 
@@ -337,7 +333,6 @@ class QuadCertificate:
     y: int
     elements: tuple
     color: int
-    relation_holds: bool
 
 
 def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], ncolors: int) -> QuadCertificate:
@@ -391,10 +386,9 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
     if colors != {rect.color}:
         raise InternalInconsistencyError(f"quad not monochrome: colors {sorted(colors)}")
     ax, bx, ay, by = quad
-    relation = group.mul(group.mul(ay, group.inv(by)), bx) == ax
-    if not relation:
+    if group.mul(group.mul(ay, group.inv(by)), bx) != ax:
         raise InternalInconsistencyError("group relation ax = ay*(by)^-1*bx failed")
-    return QuadCertificate(a, b, x, y, quad, rect.color, relation)
+    return QuadCertificate(a, b, x, y, quad, rect.color)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +441,7 @@ def prefix_coloring(k: int, limit: int = _MAX_PREFIX_K) -> EdgeColoring:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if k > limit:
-        raise InputError(
-            f"k = {k} exceeds the limit {limit}: the coloring would materialize "
-            f"{comb(2**k, 2)} edges"
-        )
+        raise InputError(f"k = {k} exceeds the limit {limit}: the coloring would materialize C(2^k, 2) edges")
     n = 2**k
     colors = []
     for u in range(n):

@@ -20,6 +20,17 @@ TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 JOBS = [
     (
+        ["partition", "SPEC"],
+        {"kind": "graphic", "complete": 5},
+        (
+            "core.greedy_s",
+            "core.closure_calls",
+            "core.circuit_search_calls",
+            "partition.layered_s",
+            "partition.verify_s",
+        ),
+    ),
+    (
         ["check-axioms", "SPEC"],
         {"kind": "abelian", "orders": [2, 2, 2]},
         ("zoo.oracle_calls.abelian", "groups.hull_memo_misses", "core.sweep_oracle_calls.exchange"),

@@ -193,6 +193,19 @@ def test_quad_on_a_table_that_is_not_a_group_exits_2_with_one_line(tmp_path, cap
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "group",
+    [{"cyclic": 10}, {"orders": [2, 5]}, {"table": [[(a + b) % 10 for b in range(10)] for a in range(10)]}],
+    ids=["cyclic", "orders", "table"],
+)
+def test_quad_document_names_its_group_as_its_manifest_read_it(tmp_path, group):
+    out = tmp_path / "quad.json"
+    assert run(["quad", write_json(tmp_path / "g.json", group), "--colors", "1", "--out", out]) == 0
+    doc = load(out)
+    assert doc["quad"]["group"] == doc["manifest"]["parameters"]["group"] == group
+    assert doc["quad"]["relation_verified"]
+
+
 # --- prefix-color and group -----------------------------------------------------------
 
 
@@ -254,6 +267,44 @@ def test_group_argument_validation(tmp_path, capsys):
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("hullcover: error: "), (args, errors)
     assert not (tmp_path / "x.json").exists()
+
+
+# each file is written as raw text: json.dumps renders neither a 5,000-digit int nor deep nesting
+UNDECODABLE = {
+    "5000-digit-int": ("partition", '{"kind": "graphic", "complete": ' + "1" * 5000 + "}"),
+    "edges-3000-deep": ("partition", '{"kind": "graphic", "edges": ' + "[" * 3000 + "]" * 3000 + "}"),
+    "rerun-100000-deep": ("rerun", "[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("subcommand,text", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_an_undecodable_file_exits_2_with_one_line(tmp_path, capsys, subcommand, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([subcommand, path, "--out", tmp_path / "x.json"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"hullcover: error: {path}: "), errors
+    assert not (tmp_path / "x.json").exists()
+
+
+TWOS = ",".join(["2"] * 20_000)
+OVERSIZED = {
+    "prefix-color-8000": (["prefix-color", "8000"], "limit 12"),
+    "partition-2^20000": (["partition", {"kind": "abelian", "orders": [2] * 20_000}], "1048576"),
+    "torsion-2^20000": (["group", "torsion", "--orders", TWOS, "--n", "2"], "1048576"),
+    "decompose-2^20000": (["group", "decompose", "--orders", TWOS], "1048576"),
+    "independence-2^20000": (
+        ["group", "independence", "--orders", TWOS, "--elements", "1" + ",0" * 19_999], "1048576"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,bound", OVERSIZED.values(), ids=OVERSIZED)
+def test_a_size_refusal_names_the_bound_not_the_oversized_count(tmp_path, capsys, argv, bound):
+    argv = [write_json(tmp_path / "spec.json", a) if isinstance(a, dict) else a for a in argv]
+    assert run([*argv, "--out", tmp_path / "x.json"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("hullcover: error: ") and bound in errors[0], errors
 
 
 # --- manifests and determinism ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from hullcover.core import (
     reverify_witness,
 )
 from hullcover.groups import FiniteAbelianGroup
+from hullcover.partition import layer_decomposition
 from hullcover.zoo import (
     GraphSpec,
     IntegerHullSpec,
@@ -192,21 +194,37 @@ def test_greedy_basis_spans_on_matroid_instances(M):
             assert member(x, frozenset(basis))
 
 
-def test_greedy_basis_respects_supplied_order():
-    order = tuple(reversed(range(F2_D2.size)))
-    basis = greedy_basis(F2_D2, order)
-    assert basis == (3, 2)  # (1,1) then (1,0); (0,1) is already spanned
-    assert is_independent(F2_D2, basis)
+@pytest.mark.parametrize(
+    "M",
+    [build_graphic_matroid(GraphSpec(6)), build_vector_matroid(VectorMatroidSpec("fp", p=2, dim=4))],
+    ids=["K6", "F2^4"],
+)
+def test_layers_read_the_closures_the_greedy_basis_left_in_the_memo(M):
+    calls = []
 
+    def member(x, F):
+        calls.append((x, F))
+        return M.oracle.member(x, F)
 
-def test_greedy_basis_rejects_non_permutations():
-    with pytest.raises(InputError):
-        greedy_basis(F2_D2, (0, 1))
-    with pytest.raises(InputError):
-        greedy_basis(F2_D2, (0, 0, 1, 2))
+    counted = MatroidInstance(M.labels, HullOracle(M.oracle.kind, member), M.is_matroid, M.objects)
+    basis = greedy_basis(counted)
+    assert calls and basis == greedy_basis(M)
+    calls.clear()
+    assert layer_decomposition(counted).basis == basis
+    assert calls == []
 
 
 # --- axiom sweeps -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check,name",
+    [(check_hull_axioms, "hull-operator"), (check_idempotent, "idempotence"), (check_exchange, "exchange")],
+)
+def test_a_sampled_budget_drawing_more_than_the_cap_is_refused(check, name):
+    with pytest.raises(BudgetError, match=f"sampled {name} sweep of 5 draws exceeds the cap of 4;"):
+        check(K4, dataclasses.replace(Budget.sampled(0, 5), max_evaluations=4))
+    assert check(K4, dataclasses.replace(Budget.sampled(0, 5), max_evaluations=5)).holds
 
 
 def test_exchange_holds_on_f2_d2():
