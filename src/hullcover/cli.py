@@ -89,7 +89,7 @@ def _decorate_witness(M, witness):
     out = dict(witness)
     for key in ("A", "B"):
         if key in out:
-            out[f"{key}_labels"] = list(M.labels_of(out[key]))
+            out[f"{key}_labels"] = M.labels_of(out[key])
     for key in ("x", "y"):
         if key in out:
             out[f"{key}_label"] = M.label(out[key])
@@ -135,24 +135,24 @@ def _run_partition(f, seed):
     dec = P.decomposition
     payload = {
         "kind": M.oracle.kind,
-        "labels": list(M.labels),
+        "labels": M.labels,
         "loops": sorted(M.loops),
-        "basis": list(dec.basis),
-        "basis_labels": list(M.labels_of(dec.basis)),
+        "basis": dec.basis,
+        "basis_labels": M.labels_of(dec.basis),
         "layers": [
-            {"elements": list(layer), "labels": list(M.labels_of(layer)), "size": len(layer)}
+            {"elements": layer, "labels": M.labels_of(layer), "size": len(layer)}
             for layer in dec.layers
         ],
         "classes": [
             {
-                "elements": list(cls),
-                "labels": list(M.labels_of(cls)),
+                "elements": cls,
+                "labels": M.labels_of(cls),
                 "independent": circuit is None,
-                "circuit": list(circuit) if circuit else None,
+                "circuit": circuit,
             }
             for cls, circuit in zip(P.classes, P.circuits)
         ],
-        "class_of": list(P.class_of),
+        "class_of": P.class_of,
         "class_count": len(P.classes),
         "max_layer_size": dec.max_layer_size,
         "verification": {
@@ -161,7 +161,7 @@ def _run_partition(f, seed):
             "covers": report.covers,
             "all_independent": report.all_independent,
             "failing_class": report.failing_class,
-            "circuit": list(report.circuit) if report.circuit else None,
+            "circuit": report.circuit,
             "detail": report.detail,
         },
     }
@@ -193,7 +193,7 @@ def _run_check_axioms(f, seed):
         )
         verdicts[report.axiom] = report.verdict
     all_hold = all(r.holds for r in reports)
-    payload = {"kind": M.oracle.kind, "labels": list(M.labels), "reports": entries, "all_hold": all_hold}
+    payload = {"kind": M.oracle.kind, "labels": M.labels, "reports": entries, "all_hold": all_hold}
     return "axioms", payload, verdicts, EXIT_OK if all_hold else EXIT_CERTIFICATE
 
 
@@ -206,8 +206,8 @@ def _run_rectangle(f, seed):
         "y_size": coloring.ny,
         "colors": coloring.ncolors,
         "size": lam,
-        "A": list(rect.A),
-        "Z": list(rect.Z),
+        "A": rect.A,
+        "Z": rect.Z,
         "color": rect.color,
         "fiber_bound": fiber_bound(coloring, lam),
         "verified": verify_rectangle(coloring, rect),
@@ -230,7 +230,7 @@ def _run_quad(f, seed):
         "thresholds": quad_thresholds(ncolors),
         **parameters,
         "parameter_labels": {key: group.labels[g] for key, g in parameters.items()},
-        "elements": list(cert.elements),
+        "elements": cert.elements,
         "element_labels": [group.labels[g] for g in cert.elements],
         "color": cert.color,
         "relation_verified": group.mul(group.mul(ay, group.inv(by)), bx) == ax,
@@ -248,7 +248,7 @@ def _run_prefix_color(f, seed):
         "k": k,
         "vertices": coloring.n,
         "colors": coloring.ncolors,
-        "edges": [[u, v, c] for u, v, c in coloring.edges()],
+        "edges": list(coloring.edges()),
     }
     code = EXIT_OK
     verdicts = {}
@@ -256,7 +256,7 @@ def _run_prefix_color(f, seed):
         report = verify_no_monochrome_odd_cycle(coloring)
         payload["odd_cycle_check"] = {
             "ok": report.ok,
-            "failures": [{"color": c, "cycle": list(cycle)} for c, cycle in report.cycles],
+            "failures": [{"color": c, "cycle": cycle} for c, cycle in report.cycles],
         }
         verdicts["no_monochrome_odd_cycle"] = report.ok
         if not report.ok:
@@ -273,13 +273,13 @@ def _run_group(f, seed):
         if n is None:
             raise InputError("group torsion needs --n")
         elems = sorted(n_torsion(G, n))
-        payload = {"orders": list(G.orders), "n": n, "elements": [list(e) for e in elems]}
+        payload = {"orders": G.orders, "n": n, "elements": elems}
         return "torsion", payload, {"subgroup_size": len(elems)}, EXIT_OK
     if op == "decompose":
         report = primary_decomposition(G)
         payload = {
-            "orders": list(G.orders),
-            "components": {str(p): [list(e) for e in comp] for p, comp in report.components.items()},
+            "orders": G.orders,
+            "components": {str(p): comp for p, comp in report.components.items()},
             "sizes": {str(p): len(comp) for p, comp in report.components.items()},
             "direct_sum_verified": report.direct_sum_verified,
         }
@@ -293,8 +293,8 @@ def _run_group(f, seed):
         M = build_abelian_linear_matroid(G)
         hull_independent = is_independent(M, [M.index_of(e) for e in elems])
         payload = {
-            "orders": list(G.orders),
-            "elements": [list(e) for e in elems],
+            "orders": G.orders,
+            "elements": elems,
             "independent": independent,
             "hull_route_agrees": independent == hull_independent,
         }

@@ -54,8 +54,9 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         orders = tuple(_int(n, "cyclic order") for n in self.orders)
-        if not all(2 <= n <= sys.maxsize for n in orders):
-            raise InputError(f"cyclic orders must all be in 2..{sys.maxsize}, got {orders}")
+        for i, n in enumerate(orders):
+            if not 2 <= n <= sys.maxsize:
+                raise InputError(f"cyclic order {n} at position {i} is not in 2..{sys.maxsize}")
         object.__setattr__(self, "orders", orders)
 
     @cached_property
@@ -90,13 +91,13 @@ class FiniteAbelianGroup:
         if isinstance(x, int):
             x = (x,)
         elif not isinstance(x, (list, tuple)):
-            raise InputError(f"element must be an integer or a residue tuple, got {x!r}")
+            raise InputError(f"element must be an integer or a residue tuple, got {type(x).__name__}")
         x = tuple(v if type(v) is int else _int(v, "residue") for v in x)
         if len(x) != len(self.orders):
-            raise InputError(f"element {x} has rank {len(x)}, group has rank {len(self.orders)}")
-        for v, n in zip(x, self.orders):
+            raise InputError(f"element has rank {len(x)}, group has rank {len(self.orders)}")
+        for i, (v, n) in enumerate(zip(x, self.orders)):
             if not 0 <= v < n:
-                raise InputError(f"residue {v} out of range 0..{n - 1} in element {x}")
+                raise InputError(f"residue {v} at position {i} is not in 0..{n - 1}")
         return x
 
     def label(self, x) -> str:

@@ -58,8 +58,8 @@ def _seeded_draws(ncolors) -> Callable[[str, int], tuple]:
 class ProductColoring:
     """Coloring of {0..nx-1} x {0..ny-1} into colors 0..ncolors-1.
 
-    Backed by an explicit table (rows indexed by y) or by a row generator,
-    so generated colorings never materialize more than one row at a time.
+    Backed by a row function ``row_fn(y)`` returning row y as a tuple of
+    nx colors: an explicit table's rows, or rows generated one at a time.
     """
 
     def __init__(self, nx, ny, ncolors, row_fn):
@@ -102,17 +102,10 @@ class ProductColoring:
         seed, draws = _int(seed, "seed"), _seeded_draws(ncolors)
         return cls(nx, ny, ncolors, lambda y: draws(f"{seed}:{y}", nx))
 
-    @classmethod
-    def from_function(cls, nx, ny, ncolors, fn):
-        def row(y):
-            return tuple(fn(x, y) for x in range(nx))
-
-        return cls(nx, ny, ncolors, row)
-
     def row(self, y) -> tuple:
         if not 0 <= y < self.ny:
             raise InputError(f"row {y} out of range 0..{self.ny - 1}")
-        return tuple(self._row_fn(y))
+        return self._row_fn(y)
 
 
 @dataclass(frozen=True)
@@ -354,18 +347,11 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
         )
     X = non_identity[: th["x_size"]]
     x_inverses = {group.inv(g) for g in X}
-    Y = []
-    for g in non_identity[th["x_size"] :]:
-        if g in x_inverses:
-            continue
-        Y.append(g)
-        if len(Y) == th["y_size"]:
-            break
-    if len(Y) < th["y_size"]:
-        raise PremiseError("could not collect enough Y elements avoiding X inverses", thresholds=th)
-
-    induced = ProductColoring.from_function(
-        len(X), len(Y), ncolors, lambda xi, yi: chi(group.mul(X[xi], Y[yi]))
+    # at least |X| + |Y| elements follow X and at most |X| of them invert one in X
+    candidates = (g for g in non_identity[th["x_size"] :] if g not in x_inverses)
+    Y = list(itertools.islice(candidates, th["y_size"]))
+    induced = ProductColoring(
+        len(X), len(Y), ncolors, lambda yi: tuple(chi(group.mul(x, Y[yi])) for x in X)
     )
     rect = monochrome_rectangle(induced, 2)
     if len(rect.Z) < 4:
@@ -443,11 +429,8 @@ def prefix_coloring(k: int, limit: int = _MAX_PREFIX_K) -> EdgeColoring:
     if k > limit:
         raise InputError(f"k = {k} exceeds the limit {limit}: the coloring would materialize C(2^k, 2) edges")
     n = 2**k
-    colors = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            colors.append(k - (u ^ v).bit_length())
-    return EdgeColoring(n, k, tuple(colors))
+    colors = tuple(k - (u ^ v).bit_length() for u, v in itertools.combinations(range(n), 2))
+    return EdgeColoring(n, k, colors)
 
 
 @dataclass(frozen=True)
@@ -521,28 +504,22 @@ def verify_forest_classes(coloring: EdgeColoring) -> CycleReport:
 def monochrome_bipartite(coloring: EdgeColoring, lam) -> Rectangle:
     """Monochrome complete bipartite K_{lam,m} across the two vertex halves.
 
-    The first ceil(n/2) vertices form the column side of an induced product
-    coloring; the rectangle there translates back to vertex sets.  The
+    The first ceil(n/2) vertices are the columns of an induced product
+    coloring and the rest its rows, row yi being vertex half + yi.  The
     pigeonhole premise is checked against the edge coloring's full color
     count.
     """
     if coloring.n < 2:
         raise PremiseError("need at least 2 vertices", thresholds={"vertices_required": 2})
     half = (coloring.n + 1) // 2
-    x_side = list(range(half))
-    y_side = list(range(half, coloring.n))
-    induced = ProductColoring.from_function(
-        len(x_side),
-        len(y_side),
+    induced = ProductColoring(
+        half,
+        coloring.n - half,
         coloring.ncolors,
-        lambda xi, yi: coloring.color_of(x_side[xi], y_side[yi]),
+        lambda yi: tuple(coloring.color_of(x, half + yi) for x in range(half)),
     )
     rect = monochrome_rectangle(induced, lam)
-    return Rectangle(
-        tuple(x_side[i] for i in rect.A),
-        tuple(y_side[i] for i in rect.Z),
-        rect.color,
-    )
+    return Rectangle(rect.A, tuple(half + z for z in rect.Z), rect.color)
 
 
 def even_cycle(rect: Rectangle, m: int) -> tuple:

@@ -77,13 +77,16 @@ class _DisjointSet:
 
 
 def _eliminate(rows, p):
-    """Echelon pivots ``(col, row)`` of ``rows`` over F_p, or over Q when p is 0."""
+    """Echelon pivots ``(col, row)`` of ``rows`` over F_p, or over Q when p is 0.
+
+    Over Q the entries may be ints or Fractions; the pivots hold Fractions.
+    """
     pivots = []
     for row in rows:
         row = _reduce(pivots, row, p)
         for col, v in enumerate(row):
             if v:
-                inv = pow(v, -1, p) if p else 1 / v
+                inv = pow(v, -1, p) if p else Fraction(1, v)
                 pivots.append((col, _reduce((), [inv * a for a in row], p)))
                 break
     return pivots

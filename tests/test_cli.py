@@ -10,6 +10,7 @@ import random
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -305,6 +306,35 @@ def test_a_size_refusal_names_the_bound_not_the_oversized_count(tmp_path, capsys
     assert run([*argv, "--out", tmp_path / "x.json"]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("hullcover: error: ") and bound in errors[0], errors
+
+
+ECHOING = {
+    "order-1-before-20000-twos": (["torsion", "--orders", "1," + TWOS, "--n", "2"], "cyclic order 1 at position 0"),
+    "20000-residues-on-rank-2": (["independence", "--orders", "2,2", "--elements", "1" + ",1" * 19_999], "rank 20000"),
+    "residue-out-of-range": (["independence", "--orders", "2,2", "--elements", "1,5"], "residue 5 at position 1"),
+}
+
+
+@pytest.mark.parametrize("argv,named", ECHOING.values(), ids=ECHOING)
+def test_a_group_refusal_names_the_bad_entry_not_the_whole_input(tmp_path, capsys, argv, named):
+    started = time.perf_counter()
+    assert run(["group", *argv, "--out", tmp_path / "x.json"]) == 2
+    assert time.perf_counter() - started < 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("hullcover: error: ") and named in line and len(line.encode()) < 200, line
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_a_prefix_coloring_document_holds_no_list_per_edge(k):
+    # each edge is the (u, v, color) tuple the coloring yields, with no list copied from it
+    tracemalloc.start()
+    try:
+        result = cli._run_prefix_color(Fields({"k": k, "verify": True}, "parameters"), None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / math.comb(2**k, 2) < sys.getsizeof((0, 0, 0)) + 20
+    assert result[1]["edges"][0] == (0, 1, k - 1)
 
 
 # --- manifests and determinism ----------------------------------------------------------

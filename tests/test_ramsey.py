@@ -308,6 +308,26 @@ def test_group_coloring_validation():
             group_coloring(group, descriptor)
 
 
+@pytest.mark.parametrize("ncolors", [1, 2, 3])
+def test_quad_collects_y_when_the_inverses_of_x_come_next(ncolors):
+    # Z_m with m = min_non_identity + 1, relabelled so that indices 1..|X| are
+    # X = 1..|X| and the next |X| their inverses: exactly |Y| indices are left for Y
+    th = quad_thresholds(ncolors)
+    m, s = th["min_non_identity"] + 1, th["x_size"]
+    names = [0, *range(1, s + 1), *(m - i for i in range(1, s + 1)), *range(s + 1, m - s)]
+    index = {e: i for i, e in enumerate(names)}
+    group = table_group([[index[(names[a] + names[b]) % m] for b in range(m)] for a in range(m)])
+    assert [group.inv(g) for g in range(1, s + 1)] == list(range(s + 1, 2 * s + 1))
+    for descriptor in [{"formula": "mod"}] + [{"formula": "seeded-uniform", "seed": k} for k in range(3)]:
+        chi = group_coloring(group, {**descriptor, "colors": ncolors})
+        cert = dependent_monochrome_quad(group, chi, ncolors)
+        assert 1 <= cert.a < cert.b <= s and cert.x > 2 * s and cert.y > 2 * s
+        assert len(set(cert.elements)) == 4
+        assert {chi(g) for g in cert.elements} == {cert.color}
+        ax, bx, ay, by = cert.elements
+        assert group.mul(group.mul(ay, group.inv(by)), bx) == ax
+
+
 def test_quad_seeded_sweeps_always_verify():
     group = cyclic_group(30)
     for seed in range(25):

@@ -419,6 +419,20 @@ def test_fp_spans_listed_or_reduced_match_elimination():
     assert all(sides.values()), sides
 
 
+def test_rational_elimination_is_exact_on_integer_rows():
+    # integer rows eliminate as the same rows of Fractions do, never through a float
+    rng = random.Random(39)
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        bound = rng.choice((3, 10**6, 10**40))
+        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(rng.randint(1, 7))]
+        rows += [[0] * d] + rng.choices(rows, k=2)  # the zero row and repeats
+        rng.shuffle(rows)
+        pivots = zoo._eliminate(rows, 0)
+        assert pivots == zoo._eliminate([list(map(Fraction, row)) for row in rows], 0), rows
+        assert not any(isinstance(v, float) for _, row in pivots for v in row), rows
+
+
 def test_rational_rank_and_span_match_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4)
