@@ -40,6 +40,7 @@ from .core import (
     _int,
     _int_rows,
     _ints,
+    _shown,
     check_exchange,
     check_hull_axioms,
     check_idempotent,
@@ -110,7 +111,7 @@ def _product_coloring(c, seed):
         return ProductColoring.mod(nx, ny, ncolors)
     if formula == "seeded-uniform":
         return ProductColoring.seeded_uniform(nx, ny, ncolors, c.seed(seed))
-    raise InputError(f"unknown coloring formula {formula!r}")
+    raise InputError(f"unknown coloring formula {_shown(formula)}")
 
 
 def _group(g):
@@ -155,15 +156,7 @@ def _run_partition(f, seed):
         "class_of": P.class_of,
         "class_count": len(P.classes),
         "max_layer_size": dec.max_layer_size,
-        "verification": {
-            "ok": report.ok,
-            "disjoint": report.disjoint,
-            "covers": report.covers,
-            "all_independent": report.all_independent,
-            "failing_class": report.failing_class,
-            "circuit": report.circuit,
-            "detail": report.detail,
-        },
+        "verification": vars(report),
     }
     verdicts = {"all_certificates_pass": P.all_certified, "partition_valid": report.ok}
     code = EXIT_OK if P.all_certified and report.ok else EXIT_CERTIFICATE
@@ -184,10 +177,8 @@ def _run_check_axioms(f, seed):
     for report in reports:
         entries.append(
             {
-                "axiom": report.axiom,
-                "verdict": report.verdict,
+                **vars(report),
                 "witness": _decorate_witness(M, report.witness),
-                "budget": report.budget,
                 "witness_reverified": reverify_witness(M, report) if not report.holds else None,
             }
         )
@@ -201,18 +192,17 @@ def _run_rectangle(f, seed):
     coloring = _product_coloring(f("coloring", Fields), seed)
     lam = f("size", _int)
     rect = monochrome_rectangle(coloring, lam)
+    verified = verify_rectangle(coloring, rect)
     payload = {
         "x_size": coloring.nx,
         "y_size": coloring.ny,
         "colors": coloring.ncolors,
         "size": lam,
-        "A": rect.A,
-        "Z": rect.Z,
-        "color": rect.color,
+        **vars(rect),
         "fiber_bound": fiber_bound(coloring, lam),
-        "verified": verify_rectangle(coloring, rect),
+        "verified": verified,
     }
-    return "rectangle", payload, {"verified": payload["verified"]}, EXIT_OK
+    return "rectangle", payload, {"verified": verified}, EXIT_OK if verified else EXIT_CERTIFICATE
 
 
 def _run_quad(f, seed):
@@ -222,17 +212,14 @@ def _run_quad(f, seed):
     ncolors = descriptor("colors", _int)
     chi = group_coloring(group, descriptor, seed)
     cert = dependent_monochrome_quad(group, chi, ncolors)
-    parameters = {"a": cert.a, "b": cert.b, "x": cert.x, "y": cert.y}
     ax, bx, ay, by = cert.elements
     payload = {
         "group": read.record,  # as read: the manifest's parameters.group
         "colors": ncolors,
         "thresholds": quad_thresholds(ncolors),
-        **parameters,
-        "parameter_labels": {key: group.labels[g] for key, g in parameters.items()},
-        "elements": cert.elements,
+        **vars(cert),
+        "parameter_labels": {key: group.labels[getattr(cert, key)] for key in "abxy"},
         "element_labels": [group.labels[g] for g in cert.elements],
-        "color": cert.color,
         "relation_verified": group.mul(group.mul(ay, group.inv(by)), bx) == ax,
         "distinct": len(set(cert.elements)) == 4,
         "monochrome": len({chi(g) for g in cert.elements}) == 1,
@@ -300,7 +287,7 @@ def _run_group(f, seed):
         }
         code = EXIT_OK if payload["hull_route_agrees"] else EXIT_CERTIFICATE
         return "independence", payload, {"independent": independent}, code
-    raise InputError(f"unknown group operation {op!r}")
+    raise InputError(f"unknown group operation {_shown(op)}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +461,7 @@ def _execute(manifest, out_path):
     m = Fields(manifest, "manifest")
     subcommand = m("subcommand")
     if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
-        raise InputError(f"manifest names unknown subcommand {subcommand!r}")
+        raise InputError(f"manifest names unknown subcommand {_shown(subcommand)}")
     params, seed = m("parameters", Fields), m("seed", _int, None)
     started = time.perf_counter()
     key, payload, verdicts, code = _SUBCOMMANDS[subcommand][0](params, seed)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import reprlib
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
@@ -28,6 +29,9 @@ from typing import Callable, Iterable, Optional
 
 HOLDS = "holds-on-budget"
 VIOLATED = "violated"
+
+# a refusal echoes a bad input value through this, so an oversized one prints a bounded line
+_shown = reprlib.repr
 
 
 class InputError(ValueError):
@@ -48,7 +52,7 @@ def _int(value, what):
     except (TypeError, ValueError, OverflowError):
         cast = None
     if cast is None or cast != value and not isinstance(value, str):
-        raise InputError(f"{what}: expected an integer, got {value!r}")
+        raise InputError(f"{what}: expected an integer, got {_shown(value)}")
     return cast
 
 
@@ -63,14 +67,14 @@ _MAX_LISTED = 1 << 20
 def _bool(value, what):
     """``value`` when it is JSON ``true`` or ``false``; InputError for anything else."""
     if not isinstance(value, bool):
-        raise InputError(f"{what}: expected true or false, got {value!r}")
+        raise InputError(f"{what}: expected true or false, got {_shown(value)}")
     return value
 
 
 def _ints(values, what, depth=1, item=_int):
     """A JSON list of ``item(value, what)``, or of such lists when ``depth`` is 2."""
     if not isinstance(values, list):
-        raise InputError(f"{what}: expected a list, got {values!r}")
+        raise InputError(f"{what}: expected a list, got {_shown(values)}")
     return [_ints(v, what, depth - 1, item) if depth > 1 else item(v, what) for v in values]
 
 
@@ -194,7 +198,7 @@ class MatroidInstance:
         try:
             return self.objects.index(obj)
         except ValueError:
-            raise InputError(f"no ground element for object {obj!r}") from None
+            raise InputError(f"no ground element for object {_shown(obj)}") from None
 
 
 def _as_subset(M: MatroidInstance, F) -> frozenset:
@@ -202,7 +206,7 @@ def _as_subset(M: MatroidInstance, F) -> frozenset:
     n = M.size
     for x in F:
         if not isinstance(x, int) or not 0 <= x < n:
-            raise InputError(f"element identifier {x!r} out of range 0..{n - 1}")
+            raise InputError(f"element identifier {_shown(x)} out of range 0..{n - 1}")
     return F
 
 
@@ -313,13 +317,13 @@ class Budget:
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
-            raise InputError(f"unknown budget mode {self.mode!r}; use exhaustive or sampled")
+            raise InputError(f"unknown budget mode {_shown(self.mode)}; use exhaustive or sampled")
         if not isinstance(self.max_subset_size, int) or self.max_subset_size < 0:
-            raise InputError(f"budget K must be an integer >= 0, got {self.max_subset_size!r}")
+            raise InputError(f"budget K must be an integer >= 0, got {_shown(self.max_subset_size)}")
         if self.mode == "sampled" and (not isinstance(self.count, int) or self.count < 1):
-            raise InputError(f"sampled budget COUNT must be an integer >= 1, got {self.count!r}")
+            raise InputError(f"sampled budget COUNT must be an integer >= 1, got {_shown(self.count)}")
         if self.mode == "sampled" and not isinstance(self.seed, int):
-            raise InputError(f"sampled budget needs an integer seed, got {self.seed!r}")
+            raise InputError(f"sampled budget needs an integer seed, got {_shown(self.seed)}")
 
     @classmethod
     def parse(cls, text, seed=None):
@@ -327,7 +331,7 @@ class Budget:
         mode, *numbers = str(text).split(":")
         names = {"exhaustive": ("max_subset_size",), "sampled": ("count", "max_subset_size")}.get(mode)
         if names is None or len(numbers) > len(names):
-            raise InputError(f"budget {text!r} is neither exhaustive[:K] nor sampled:COUNT[:K]")
+            raise InputError(f"budget {_shown(text)} is neither exhaustive[:K] nor sampled:COUNT[:K]")
         # cast by field name, as a rerun's manifest reads them, for one message both ways
         fields = {key: _int(value, key) for key, value in zip(names, numbers)}
         if mode == "exhaustive":

@@ -130,8 +130,10 @@ def subgroup_closure(G: FiniteAbelianGroup, B) -> frozenset:
     """
     S = {G.zero}
     for g in map(G.element, B):
-        base, shift = tuple(S), g
+        base, shift = None, g
         while shift not in S:
+            # S is copied only once g is known to add a coset
+            base = base or tuple(S)
             S.update(G.add(s, shift) for s in base)
             shift = G.add(shift, g)
     return frozenset(S)
@@ -174,14 +176,6 @@ class TorsionReport:
     direct_sum_verified: bool
 
 
-def _sums(G: FiniteAbelianGroup, parts) -> set:
-    """Every sum of one element from each part, folded in one part at a time."""
-    sums = {G.zero}
-    for part in parts:
-        sums = {G.add(s, x) for s in sums for x in part}
-    return sums
-
-
 def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     """Split G into its p-power-order parts and verify the splitting is direct.
 
@@ -195,7 +189,10 @@ def primary_decomposition(G: FiniteAbelianGroup) -> TorsionReport:
     primes = sorted(_prime_factors(G.exponent).items())
     components = {p: tuple(sorted(n_torsion(G, p**e))) for p, e in primes}
     parts = components.values()
-    verified = prod(map(len, parts)) == len(_sums(G, parts)) == G.order and all(
+    sums = {G.zero}
+    for part in parts:
+        sums = {G.add(s, x) for s in sums for x in part}
+    verified = prod(map(len, parts)) == len(sums) == G.order and all(
         set(c) & set(d) == {G.zero} for c, d in itertools.combinations(parts, 2)
     )
     return TorsionReport(components, verified)
@@ -208,19 +205,19 @@ def is_linearly_independent(G: FiniteAbelianGroup, A) -> bool:
     order(a)) of each a are all distinct: two equal sums differ by a
     combination to zero with a nonzero term, and such a combination, its
     coefficients read modulo order(a), is a sum equal to the all-zero one.
-    So more sums than |G| means dependent, known before any sum is listed.
+    Those sums are exactly <A>, so A is independent iff |<A>| is their
+    count, and more sums than |G| means dependent before <A> is folded.
     Sets containing zero are dependent by convention.
     """
     elems = {G.element(a) for a in A}
     if G.zero in elems:
         return False
-    orders = {a: G.element_order(a) for a in elems}
-    count = prod(orders.values())
+    count = prod(map(G.element_order, elems))
     if count > G.order:
         return False
     if count > _MAX_LISTED:
         raise InputError(f"the sums of multiples exceed the {_MAX_LISTED} one run may list")
-    return len(_sums(G, ([G.scalar(k, a) for k in range(n)] for a, n in orders.items()))) == count
+    return len(subgroup_closure(G, elems)) == count
 
 
 @dataclass(frozen=True)

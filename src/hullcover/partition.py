@@ -11,7 +11,7 @@ is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Optional
 
 from .core import (
@@ -120,16 +120,20 @@ class PartitionReport:
 
 
 def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionReport:
-    """Re-check disjointness, coverage of ground minus loops, and independence.
+    """Re-check disjointness, coverage of ground minus loops, ``class_of`` and independence.
 
-    Independence is re-derived by circuit search rather than trusted from
-    the stored circuits; the first failing class is reported with its
-    circuit.
+    ``class_of`` is rebuilt from the classes, None for elements no class
+    holds; the first misfiled element is named.  Independence is re-derived
+    by circuit search rather than trusted from the stored circuits; the
+    first failing class is reported with its circuit.
     """
     seen = set(chain.from_iterable(P.classes))
     disjoint = len(seen) == sum(map(len, P.classes))
     expected = set(M.elements) - M.loops
     covers = seen == expected
+    filed = {x: index for index, cls in enumerate(P.classes) for x in cls}
+    pairs = zip_longest(P.class_of, map(filed.get, M.elements), fillvalue="nothing")
+    misfiled = next(((x, *pair) for x, pair in enumerate(pairs) if pair[0] != pair[1]), None)
     failing_class = None
     circuit = None
     for index, cls in enumerate(P.classes):
@@ -138,7 +142,7 @@ def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionRe
             failing_class, circuit = index, found
             break
     all_independent = failing_class is None
-    ok = disjoint and covers and all_independent
+    ok = disjoint and covers and misfiled is None and all_independent
     if ok:
         detail = f"{len(P.classes)} classes partition {len(expected)} non-loop elements"
     else:
@@ -152,6 +156,8 @@ def verify_partition(M: MatroidInstance, P: IndependentPartition) -> PartitionRe
                 problems.append(f"uncovered elements {missing}")
             if extra:
                 problems.append(f"stray elements {extra}")
+        if misfiled is not None:
+            problems.append("class_of[{}] is {}, the classes give {}".format(*misfiled))
         if not all_independent:
             problems.append(f"class {failing_class} contains circuit {circuit}")
         detail = "; ".join(problems)

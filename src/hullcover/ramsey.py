@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .core import Fields, InputError, InternalInconsistencyError, PremiseError, _MAX_LISTED, _int
+from .core import Fields, InputError, InternalInconsistencyError, PremiseError, _MAX_LISTED, _int, _shown
 from .groups import FiniteAbelianGroup
 
 
@@ -292,7 +292,7 @@ def group_coloring(group: FiniteGroup, descriptor, seed=None) -> Callable[[int],
     if formula == "seeded-uniform":
         seed, draws = c.seed(seed), _seeded_draws(ncolors)
         return lambda i: draws(f"{seed}:{i}", 1)[0]
-    raise InputError(f"unknown coloring formula {formula!r}")
+    raise InputError(f"unknown coloring formula {_shown(formula)}")
 
 
 def quad_thresholds(ncolors: int) -> dict:

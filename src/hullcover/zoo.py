@@ -12,9 +12,10 @@ abelian hull) and returns the test ``x in <F>``.  An F_p span with fewer
 vectors than the ground set (p^rank < n) lists itself once, so its test is a
 lookup and the listing costs no more than the n tests of one closure; a
 larger one, like every span over Q, reduces x against the pivots.
-``_member`` turns the test into the oracle's ``member(x, F)`` and reuses the
-last prepared span while consecutive calls pass an equal F, as ``closure``
-does; the bounded memo behind ``core.closure`` is the only memo of hull work.
+``_instance`` builds every instance: it turns the test into the oracle's
+``member(x, F)`` and reuses the last prepared span while consecutive calls
+pass an equal F, as ``closure`` does; the bounded memo behind
+``core.closure`` is the only memo of hull work.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import partial
 from math import comb, gcd
 
 from .core import (
-    Fields, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints,
+    Fields, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints, _shown,
 )
 from .groups import FiniteAbelianGroup, _prime_factors, division_test, is_prime, subgroup_closure
 
@@ -101,8 +102,8 @@ def _reduce(pivots, row, p):
     return [a % p for a in row] if p else row
 
 
-def _member(span):
-    """``member(x, F)`` over ``span``, reusing the last span while F repeats."""
+def _instance(kind, span, labels, objects, is_matroid) -> MatroidInstance:
+    """The instance whose ``member(x, F)`` asks ``span(F)``, reusing the last span while F repeats."""
     last_F, last_test = None, None
 
     def member(x, F):
@@ -113,7 +114,7 @@ def _member(span):
             last_test, last_F = span(frozen), frozen
         return last_test(x)
 
-    return member
+    return MatroidInstance(labels, HullOracle(kind, member), is_matroid, objects)
 
 
 def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
@@ -136,7 +137,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
         vectors = [tuple(map(parse_rational, v)) for v in spec.vectors]
         kind = "vector_q"
     else:
-        raise InputError(f"unknown vector field {spec.field!r}; use 'fp' or 'q'")
+        raise InputError(f"unknown vector field {_shown(spec.field)}; use 'fp' or 'q'")
 
     def span(F, vecs=tuple(vectors), p=p):
         pivots = _eliminate([vecs[i] for i in sorted(F)], p)
@@ -154,8 +155,7 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
     if len(dims) > 1:
         raise InputError(f"vectors have mixed dimensions {sorted(dims)}")
     labels = ["(" + ",".join(str(c) for c in v) + ")" for v in vectors]
-    oracle = HullOracle(kind, _member(span))
-    return MatroidInstance(labels, oracle, True, vectors)
+    return _instance(kind, span, labels, vectors, True)
 
 
 def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
@@ -174,7 +174,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
             try:
                 u, v = (_int(w, "edge endpoint") for w in e)
             except (TypeError, ValueError):
-                raise InputError(f"edge {e!r} must be a pair of vertex indices") from None
+                raise InputError(f"edge {_shown(e)} must be a pair of vertex indices") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) has endpoints outside 0..{n - 1}")
             if u == v:
@@ -193,8 +193,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
         return lambda x: root[edges[x][0]] == root[edges[x][1]]
 
     labels = [f"e{u}-{v}" for u, v in edges]
-    oracle = HullOracle("graphic", _member(span))
-    return MatroidInstance(labels, oracle, True, edges)
+    return _instance("graphic", span, labels, edges, True)
 
 
 def _division_hull_is_matroid(G: FiniteAbelianGroup) -> bool:
@@ -225,8 +224,7 @@ def build_abelian_linear_matroid(G: FiniteAbelianGroup) -> MatroidInstance:
         return division_test(G, subgroup_closure(G, [elems[i] for i in F]))
 
     labels = [G.label(e) for e in elems]
-    oracle = HullOracle("abelian", _member(span))
-    return MatroidInstance(labels, oracle, _division_hull_is_matroid(G), elems)
+    return _instance("abelian", span, labels, elems, _division_hull_is_matroid(G))
 
 
 def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
@@ -242,7 +240,7 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
     if not 3 <= N <= (_MAX_LISTED - 1) // 2:
         raise InputError(f"window must be in 3..{(_MAX_LISTED - 1) // 2}, got {N}")
     if spec.variant not in ("subgroup", "linear"):
-        raise InputError(f"unknown integer hull variant {spec.variant!r}")
+        raise InputError(f"unknown integer hull variant {_shown(spec.variant)}")
     values = [0]
     for i in range(1, N + 1):
         values.extend((i, -i))
@@ -264,8 +262,7 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
         kind, flagged = "integer_linear", True
 
     labels = [str(v) for v in values]
-    oracle = HullOracle(kind, _member(span))
-    return MatroidInstance(labels, oracle, flagged, values)
+    return _instance(kind, span, labels, values, flagged)
 
 
 def matroid_from_spec(spec) -> MatroidInstance:
@@ -293,7 +290,7 @@ def matroid_from_spec(spec) -> MatroidInstance:
     if kind in ("integer_subgroup", "integer_linear"):
         return build_integer_hull(IntegerHullSpec(f("window", _int), kind.split("_")[1]))
     raise InputError(
-        f"unknown matroid kind {kind!r}; expected one of vector_fp, vector_q, "
+        f"unknown matroid kind {_shown(kind)}; expected one of vector_fp, vector_q, "
         "graphic, abelian, integer_subgroup, integer_linear"
     )
 
@@ -301,9 +298,9 @@ def matroid_from_spec(spec) -> MatroidInstance:
 def parse_rational(text) -> Fraction:
     """Exact rational from an int, a Fraction or an integer "p" or "p/q" string."""
     if isinstance(text, bool) or not isinstance(text, (int, str, Fraction)):
-        raise InputError(f"bad rational {text!r}: expected an integer or a 'p/q' string")
+        raise InputError(f"bad rational {_shown(text)}: expected an integer or a 'p/q' string")
     try:
         # decimal and exponent strings are refused: Fraction expands "1e5000" past what a label prints
         return Fraction(*map(int, text.split("/", 1))) if isinstance(text, str) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        raise InputError(f"bad rational {_shown(text)}: {exc}") from None

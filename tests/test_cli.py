@@ -146,6 +146,18 @@ def test_rectangle_from_table(tmp_path):
     assert doc["rectangle"]["Z"] == [0, 1]
 
 
+def test_a_failed_rectangle_verification_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "verify_rectangle", lambda coloring, rect: False)
+    coloring = write_json(
+        tmp_path / "col.json", {"x_size": 3, "y_size": 6, "colors": 2, "formula": "mod"}
+    )
+    out = tmp_path / "rect.json"
+    assert run(["rectangle", coloring, "--size", "2", "--out", out]) == 3
+    doc = load(out)
+    assert doc["rectangle"]["verified"] is False
+    assert doc["manifest"]["verdicts"] == {"verified": False}
+
+
 def test_rectangle_premise_error_exits_2(tmp_path):
     coloring = write_json(
         tmp_path / "col.json", {"x_size": 2, "y_size": 5, "colors": 2, "formula": "constant"}
@@ -322,6 +334,31 @@ def test_a_group_refusal_names_the_bad_entry_not_the_whole_input(tmp_path, capsy
     assert time.perf_counter() - started < 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("hullcover: error: ") and named in line and len(line.encode()) < 200, line
+
+
+LONG = "x" * 50_000
+BOUNDED = {
+    "matroid-kind": (["partition", {"kind": LONG}], "unknown matroid kind"),
+    "rational": (["partition", {"kind": "vector_q", "vectors": [["1" * 50_000]]}], "bad rational"),
+    "edge": (["partition", {"kind": "graphic", "vertices": 3, "edges": [list(range(20_002))]}], "edge"),
+    "field-size": (["check-axioms", {"kind": "vector_fp", "p": LONG, "dim": 1}], "p: expected an integer"),
+    "cyclic-order": (["group", "torsion", "--orders", LONG, "--n", "2"], "orders: expected an integer"),
+    "group-op": (["group", LONG, "--orders", "2"], "unknown group operation"),
+    "quad-formula": (["quad", {"cyclic": 5}, "--colors", "2", "--formula", LONG], "unknown coloring formula"),
+    "rectangle-formula": (
+        ["rectangle", {"x_size": 2, "y_size": 2, "formula": LONG}, "--size", "2"], "unknown coloring formula"
+    ),
+    "budget": (["check-axioms", {"kind": "graphic", "complete": 3}, "--budget", LONG], "budget"),
+    "subcommand": (["rerun", {"manifest": {"subcommand": LONG, "parameters": {}}}], "unknown subcommand"),
+}
+
+
+@pytest.mark.parametrize("argv,named", BOUNDED.values(), ids=BOUNDED)
+def test_a_refusal_echoes_a_bounded_repr_of_the_bad_value(tmp_path, capsys, argv, named):
+    argv = [write_json(tmp_path / "input.json", a) if isinstance(a, dict) else a for a in argv]
+    assert run([*argv, "--out", tmp_path / "x.json"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("hullcover: error: ") and named in line and len(line.encode()) < 400, line[:500]
 
 
 @pytest.mark.parametrize("k", [8, 9])

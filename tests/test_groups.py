@@ -129,6 +129,14 @@ def test_subgroup_closure_is_the_set_of_all_sums():
             assert subgroup_closure(G, B) == sums, (G.orders, B)
 
 
+def test_subgroup_closure_copies_nothing_for_a_redundant_generator():
+    # every element of Z_2^15 as a generator: all but 15 already lie in the fold so far
+    G = FiniteAbelianGroup((2,) * 15)
+    started = time.perf_counter()
+    assert subgroup_closure(G, G.elements) == set(G.elements)
+    assert time.perf_counter() - started < 2
+
+
 # --- division hull --------------------------------------------------------------
 
 

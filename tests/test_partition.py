@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -196,6 +197,16 @@ def test_verify_partition_flags_overlap_and_coverage():
     )
     report = verify_partition(F2_D2, overlapping)
     assert not report.disjoint and not report.covers and not report.ok
+
+
+def test_verify_partition_rebuilds_class_of_from_the_classes():
+    P = layered_partition(K4)
+    assert verify_partition(K4, P).ok
+    x = P.classes[-1][0]
+    refiled = dataclasses.replace(P, class_of=P.class_of[:x] + (0,) + P.class_of[x + 1 :])
+    report = verify_partition(K4, refiled)
+    assert not report.ok and report.disjoint and report.covers and report.all_independent
+    assert f"class_of[{x}] is 0" in report.detail
 
 
 def test_empty_partition_passes_on_all_loops_instance():
