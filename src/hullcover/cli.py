@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -104,7 +105,9 @@ def _product_coloring(c, seed):
         return ProductColoring.from_table(c("table", _int_rows), ncolors)
     nx, ny = c("x_size", _int), c("y_size", _int)
     if nx * ny > _MAX_LISTED:
-        raise InputError(f"a {nx} x {ny} coloring has more than the {_MAX_LISTED} cells one run may list")
+        raise InputError(
+            f"a {_shown(nx)} x {_shown(ny)} coloring has more than the {_MAX_LISTED} cells one run may list"
+        )
     if formula == "constant":
         return ProductColoring.constant(nx, ny, ncolors, c("value", _int, 0))
     if formula == "mod":
@@ -170,7 +173,7 @@ def _run_check_axioms(f, seed):
         b("mode"), b("max_subset_size", _int), b("seed", _int, None), b("count", _int, None)
     )
     if seed is not None and budget.seed not in (None, seed):
-        raise InputError(f"budget seed {budget.seed} contradicts --seed {seed}")
+        raise InputError(f"budget seed {_shown(budget.seed)} contradicts --seed {_shown(seed)}")
     reports = [check_hull_axioms(M, budget), check_idempotent(M, budget), check_exchange(M, budget)]
     entries = []
     verdicts = {}
@@ -521,6 +524,8 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# built on the first call, not at import; each parse_args fills a fresh Namespace
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="hullcover",

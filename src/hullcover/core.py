@@ -113,7 +113,7 @@ class Fields:
         """The "seed" field: ``default`` (0 when None) if absent, and never another value."""
         seed = self("seed", _int, 0 if default is None else default)
         if default is not None and seed != default:
-            raise InputError(f"{self.what} seed {seed} contradicts --seed {default}")
+            raise InputError(f"{self.what} seed {_shown(seed)} contradicts --seed {_shown(default)}")
         return seed
 
 
@@ -474,7 +474,8 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
     the element inside the hull of A and y, matching how counterexamples read.
 
     The exhaustive sweep reads both directions of every pair from the
-    memoized closures of A | {z}, one for each z outside closure(A).
+    closures of A | {z}, read once per A for each z outside closure(A), and
+    yields only the pairs whose directions differ.
     """
     member = M.oracle.member
 
@@ -492,10 +493,11 @@ def check_exchange(M: MatroidInstance, budget: Budget) -> AxiomReport:
     def exhaustive(sets):
         for A in sets:
             out = outside(A)
-            for i, x in enumerate(out):
-                hull_x = closure(M, A | {x})
-                for y in out[i + 1 :]:
-                    yield violation(A, x, y, x in closure(M, A | {y}), y in hull_x)
+            hulls = [closure(M, A | {z}) for z in out]
+            for (x, hull_x), (y, hull_y) in itertools.combinations(zip(out, hulls), 2):
+                forward = x in hull_y
+                if forward != (y in hull_x):
+                    yield violation(A, x, y, forward, not forward)
 
     def sampled(sets, rng):
         for A in sets:

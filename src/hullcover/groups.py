@@ -5,7 +5,9 @@ two hulls that matter here, the generated subgroup <B> and the division
 hull [B] (everything with a nonzero multiple inside <B>), plus n-torsion,
 primary decomposition and linear-independence testing, all by exact integer
 arithmetic.  ``division_test`` is the one [B] predicate: ``linear_hull``
-and the ``abelian`` oracle of ``hullcover.zoo`` both call it.
+and the ``abelian`` oracle of ``hullcover.zoo`` both call it, and it reads
+each element's prime-order points, at most one per prime dividing the
+exponent, in place of the element's multiples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .core import InputError, InternalInconsistencyError, _MAX_LISTED, _int
+from .core import InputError, InternalInconsistencyError, _MAX_LISTED, _int, _shown
 
 
 def _prime_factors(n: int) -> dict:
@@ -36,7 +38,7 @@ def _prime_factors(n: int) -> dict:
 def is_prime(n: int) -> bool:
     """Primality by trial division, which takes 0.16 s at 2^40 and is refused above it."""
     if n > _MAX_LISTED**2:
-        raise InputError(f"{n} is above {_MAX_LISTED**2}, the largest number tested for primality")
+        raise InputError(f"{_shown(n)} is above {_MAX_LISTED**2}, the largest number tested for primality")
     # 0, 1 and negative n have no factors here, so they fail the comparison
     return _prime_factors(n) == {n: 1}
 
@@ -56,7 +58,7 @@ class FiniteAbelianGroup:
         orders = tuple(_int(n, "cyclic order") for n in self.orders)
         for i, n in enumerate(orders):
             if not 2 <= n <= sys.maxsize:
-                raise InputError(f"cyclic order {n} at position {i} is not in 2..{sys.maxsize}")
+                raise InputError(f"cyclic order {_shown(n)} at position {i} is not in 2..{sys.maxsize}")
         object.__setattr__(self, "orders", orders)
 
     @cached_property
@@ -74,13 +76,22 @@ class FiniteAbelianGroup:
         return tuple(itertools.product(*(range(n) for n in self.orders)))
 
     @cached_property
-    def multiples(self) -> tuple:
-        """``multiples[i]``: n * elements[i] for n = 1, ..., exponent."""
+    def prime_order_points(self) -> tuple:
+        """``prime_order_points[i]``: (k/q) * x for each prime q dividing k = order(x), x = elements[i].
+
+        Each point is nonzero, of order q.  Division hulls stay refused where
+        order times exponent exceeds the listing bound, until their work is
+        estimated.
+        """
         if self.order * self.exponent > _MAX_LISTED:
-            raise InputError(f"order times exponent exceeds the {_MAX_LISTED} multiples one run may list")
-        return tuple(
-            tuple(self.scalar(n, e) for n in range(1, self.exponent + 1)) for e in self.elements
-        )
+            raise InputError(f"order times exponent exceeds the {_MAX_LISTED} bound on a division hull")
+        primes = tuple(_prime_factors(self.exponent))
+
+        def points(x):
+            k = lcm(*(n // gcd(n, a) for a, n in zip(x, self.orders)))
+            return tuple(self.scalar(k // q, x) for q in primes if k % q == 0)
+
+        return tuple(map(points, self.elements))
 
     @property
     def zero(self) -> tuple:
@@ -97,7 +108,7 @@ class FiniteAbelianGroup:
             raise InputError(f"element has rank {len(x)}, group has rank {len(self.orders)}")
         for i, (v, n) in enumerate(zip(x, self.orders)):
             if not 0 <= v < n:
-                raise InputError(f"residue {v} at position {i} is not in 0..{n - 1}")
+                raise InputError(f"residue {_shown(v)} at position {i} is not in 0..{n - 1}")
         return x
 
     def label(self, x) -> str:
@@ -142,13 +153,14 @@ def subgroup_closure(G: FiniteAbelianGroup, B) -> frozenset:
 def division_test(G: FiniteAbelianGroup, subgroup) -> Callable[[int], bool]:
     """The test ``i -> G.elements[i] in [B]``, given the subgroup <B>.
 
-    [B] is zero (index 0) plus every x some multiple n*x of which lands in
-    <B> minus zero.  Multiples n*x repeat with period order(x), so scanning
-    n up to the group exponent decides the existential exactly.
+    [B] is zero (index 0) plus every x some multiple of which is a nonzero
+    element of <B>, that is, every x with <x> ∩ <B> nontrivial.  A
+    nontrivial subgroup of the cyclic group <x> contains its one subgroup of
+    some prime order q, generated by (order(x)/q) * x, so x is in [B] iff
+    one of its ``G.prime_order_points`` lies in <B>.
     """
-    core = subgroup - {G.zero}
-    multiples = G.multiples
-    return lambda i: i == 0 or not core.isdisjoint(multiples[i])
+    points = G.prime_order_points
+    return lambda i: i == 0 or not subgroup.isdisjoint(points[i])
 
 
 def linear_hull(G: FiniteAbelianGroup, B) -> frozenset:
@@ -160,10 +172,10 @@ def linear_hull(G: FiniteAbelianGroup, B) -> frozenset:
 def n_torsion(G: FiniteAbelianGroup, n: int) -> frozenset:
     """The subgroup of elements killed by n."""
     if n < 1:
-        raise InputError(f"torsion index must be >= 1, got {n}")
+        raise InputError(f"torsion index must be >= 1, got {_shown(n)}")
     size = prod(gcd(m, n) for m in G.orders)
     if size > _MAX_LISTED:
-        raise InputError(f"the {n}-torsion has more than the {_MAX_LISTED} elements one run may list")
+        raise InputError(f"the {_shown(n)}-torsion has more than the {_MAX_LISTED} elements one run may list")
     per_coord = [range(0, m, m // gcd(m, n)) for m in G.orders]
     return frozenset(itertools.product(*per_coord))
 

@@ -64,7 +64,7 @@ class ProductColoring:
 
     def __init__(self, nx, ny, ncolors, row_fn):
         if nx < 0 or ny < 0 or ncolors < 1:
-            raise InputError(f"bad coloring shape nx={nx} ny={ny} colors={ncolors}")
+            raise InputError(f"bad coloring shape nx={_shown(nx)} ny={_shown(ny)} colors={_shown(ncolors)}")
         self.nx = nx
         self.ny = ny
         self.ncolors = ncolors
@@ -80,13 +80,13 @@ class ProductColoring:
         for y, row in enumerate(table):
             for x, c in enumerate(row):
                 if not 0 <= c < ncolors:
-                    raise InputError(f"color {c} at cell ({x},{y}) not below {ncolors}")
+                    raise InputError(f"color {_shown(c)} at cell ({x},{y}) not below {_shown(ncolors)}")
         return cls(nx, len(table), ncolors, lambda y: table[y])
 
     @classmethod
     def constant(cls, nx, ny, ncolors=1, color=0):
         if not 0 <= color < ncolors:
-            raise InputError(f"constant color {color} not below {ncolors}")
+            raise InputError(f"constant color {_shown(color)} not below {_shown(ncolors)}")
         row = (color,) * nx
         return cls(nx, ny, ncolors, lambda y: row)
 
@@ -153,7 +153,7 @@ def monochrome_rectangle(coloring: ProductColoring, lam) -> Rectangle:
     and its fiber always reaches ``fiber_bound``.
     """
     if lam < 1:
-        raise InputError(f"lam must be >= 1, got {lam}")
+        raise InputError(f"lam must be >= 1, got {_shown(lam)}")
     need = row_threshold(coloring.ncolors, lam)
     if coloring.nx < need:
         raise PremiseError(
@@ -212,7 +212,7 @@ class FiniteGroup:
 
 def cyclic_group(m: int) -> FiniteGroup:
     if not 1 <= m <= _MAX_LISTED:
-        raise InputError(f"cyclic order must be in 1..{_MAX_LISTED}, got {m}")
+        raise InputError(f"cyclic order must be in 1..{_MAX_LISTED}, got {_shown(m)}")
     return FiniteGroup(
         [str(i) for i in range(m)],
         lambda a, b: (a + b) % m,
@@ -284,7 +284,7 @@ def group_coloring(group: FiniteGroup, descriptor, seed=None) -> Callable[[int],
     formula = c("formula", None, "constant")
     ncolors = c("colors", _int, 1)
     if ncolors < 1:
-        raise InputError(f"color count must be >= 1, got {ncolors}")
+        raise InputError(f"color count must be >= 1, got {_shown(ncolors)}")
     if formula == "constant":
         return lambda i: 0
     if formula == "mod":
@@ -423,11 +423,13 @@ def prefix_coloring(k: int, limit: int = _MAX_PREFIX_K) -> EdgeColoring:
     full edge table materializes, and a ``limit`` above ``_MAX_PREFIX_K``.
     """
     if limit > _MAX_PREFIX_K:
-        raise InputError(f"limit must be at most {_MAX_PREFIX_K}, got {limit}")
+        raise InputError(f"limit must be at most {_MAX_PREFIX_K}, got {_shown(limit)}")
     if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {_shown(k)}")
     if k > limit:
-        raise InputError(f"k = {k} exceeds the limit {limit}: the coloring would materialize C(2^k, 2) edges")
+        raise InputError(
+            f"k = {_shown(k)} exceeds the limit {_shown(limit)}: the coloring would materialize C(2^k, 2) edges"
+        )
     n = 2**k
     colors = tuple(k - (u ^ v).bit_length() for u, v in itertools.combinations(range(n), 2))
     return EdgeColoring(n, k, colors)

@@ -122,11 +122,13 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
     if spec.field == "fp":
         p = spec.p
         if not is_prime(p):
-            raise InputError(f"field size must be a prime, got {p}")
+            raise InputError(f"field size must be a prime, got {_shown(p)}")
         # p >= 2, so the bit length caps dim before p^dim is computed
         top = _MAX_LISTED.bit_length() - 1
         if not 0 <= spec.dim <= top or p**spec.dim > _MAX_LISTED:
-            raise InputError(f"dim must be in 0..{top} with {p}^dim at most {_MAX_LISTED}, got {spec.dim}")
+            raise InputError(
+                f"dim must be in 0..{top} with {p}^dim at most {_MAX_LISTED}, got {_shown(spec.dim)}"
+            )
         if spec.dim:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
@@ -162,7 +164,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
     """Connectivity oracle on edge subsets; independent sets are the forests."""
     n = spec.vertices
     if not 1 <= n <= _MAX_LISTED:
-        raise InputError(f"vertex count must be in 1..{_MAX_LISTED}, got {n}")
+        raise InputError(f"vertex count must be in 1..{_MAX_LISTED}, got {_shown(n)}")
     if spec.edges is None:
         if comb(n, 2) > _MAX_LISTED:
             raise InputError(f"K_{n} has {comb(n, 2)} edges, more than the {_MAX_LISTED} one run may list")
@@ -176,7 +178,7 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
             except (TypeError, ValueError):
                 raise InputError(f"edge {_shown(e)} must be a pair of vertex indices") from None
             if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) has endpoints outside 0..{n - 1}")
+                raise InputError(f"edge ({_shown(u)},{_shown(v)}) has endpoints outside 0..{n - 1}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u} not allowed")
             key = (min(u, v), max(u, v))
@@ -238,7 +240,7 @@ def build_integer_hull(spec: IntegerHullSpec) -> MatroidInstance:
     N = spec.window
     # the window lists 2N + 1 values
     if not 3 <= N <= (_MAX_LISTED - 1) // 2:
-        raise InputError(f"window must be in 3..{(_MAX_LISTED - 1) // 2}, got {N}")
+        raise InputError(f"window must be in 3..{(_MAX_LISTED - 1) // 2}, got {_shown(N)}")
     if spec.variant not in ("subgroup", "linear"):
         raise InputError(f"unknown integer hull variant {_shown(spec.variant)}")
     values = [0]

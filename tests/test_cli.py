@@ -337,6 +337,8 @@ def test_a_group_refusal_names_the_bad_entry_not_the_whole_input(tmp_path, capsy
 
 
 LONG = "x" * 50_000
+# a 4,000-digit integer casts, and printed whole it would fill a 4 KB line
+HUGE = int("9" * 4_000)
 BOUNDED = {
     "matroid-kind": (["partition", {"kind": LONG}], "unknown matroid kind"),
     "rational": (["partition", {"kind": "vector_q", "vectors": [["1" * 50_000]]}], "bad rational"),
@@ -350,6 +352,29 @@ BOUNDED = {
     ),
     "budget": (["check-axioms", {"kind": "graphic", "complete": 3}, "--budget", LONG], "budget"),
     "subcommand": (["rerun", {"manifest": {"subcommand": LONG, "parameters": {}}}], "unknown subcommand"),
+    "huge-edge-endpoint": (["partition", {"kind": "graphic", "vertices": 3, "edges": [[HUGE, 1]]}], "edge"),
+    "huge-window": (["partition", {"kind": "integer_linear", "window": HUGE}], "window must be in"),
+    "huge-vertices": (["partition", {"kind": "graphic", "vertices": HUGE, "edges": []}], "vertex count"),
+    "huge-complete": (["partition", {"kind": "graphic", "complete": HUGE}], "vertex count"),
+    "huge-dim": (["partition", {"kind": "vector_fp", "p": 2, "dim": HUGE}], "dim must be in"),
+    "huge-is-prime": (["partition", {"kind": "vector_fp", "p": HUGE, "dim": 1}], "tested for primality"),
+    "huge-field-size": (["partition", {"kind": "vector_fp", "p": -HUGE, "dim": 1}], "field size"),
+    "huge-cyclic-order": (["partition", {"kind": "abelian", "orders": [HUGE]}], "cyclic order"),
+    "huge-torsion-index": (["group", "torsion", "--orders", "4", "--n", -HUGE], "torsion index"),
+    "huge-torsion-size": (["group", "torsion", "--orders", TWOS, "--n", HUGE + 1], "1048576"),
+    "huge-residue": (["group", "independence", "--orders", "4", "--elements", HUGE], "residue"),
+    "huge-table-color": (["rectangle", {"table": [[HUGE]], "colors": 2}, "--size", "1"], "color"),
+    "huge-constant-color": (["rectangle", {"x_size": 2, "y_size": 2, "value": HUGE}, "--size", "1"], "constant color"),
+    "huge-coloring-size": (["rectangle", {"x_size": HUGE, "y_size": 2}, "--size", "1"], "coloring has more"),
+    "huge-lam": (["rectangle", {"x_size": 2, "y_size": 2}, "--size", -HUGE], "lam must be"),
+    "huge-coloring-seed": (
+        ["rectangle", {"x_size": 2, "y_size": 2, "formula": "seeded-uniform", "seed": HUGE}, "--size", 1, "--seed", 1],
+        "contradicts",
+    ),
+    "huge-quad-order": (["quad", {"cyclic": HUGE}, "--colors", "2"], "cyclic order"),
+    "huge-quad-colors": (["quad", {"cyclic": 5}, "--colors", -HUGE], "color count"),
+    "huge-prefix-k": (["prefix-color", HUGE], "exceeds the limit"),
+    "huge-prefix-limit": (["prefix-color", "2", "--limit", HUGE], "limit must be"),
 }
 
 
@@ -597,6 +622,26 @@ def test_the_parser_casts_and_chooses_nothing():
     assert len(calls) >= 20
     for call in calls:
         assert not {kw.arg for kw in call.keywords} & {"type", "choices"}, ast.unparse(call)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, vec_spec, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "out.json"
+
+    def parameters(*argv, code=0):
+        assert run([*argv, "--out", out]) == code, argv
+        return load(out)["manifest"]
+
+    assert parameters("check-axioms", vec_spec, "--seed", "5")["seed"] == 5
+    assert parameters("check-axioms", vec_spec)["seed"] is None
+    assert parameters("prefix-color", "2", "--verify")["parameters"]["verify"] is True
+    assert parameters("prefix-color", "2")["parameters"]["verify"] is False
+    assert parameters("partition", vec_spec, "--basis", "1,2")["parameters"]["basis"] == [1, 2]
+    assert parameters("partition", vec_spec)["parameters"]["basis"] is None
+    rectangle = write_json(tmp_path / "coloring.json", {"x_size": 3, "y_size": 3})
+    assert run(["rectangle", rectangle, "--out", out]) == 2
+    assert "--size" in capsys.readouterr().err
+    assert run(["rectangle", rectangle, "--size", "2", "--out", out]) == 0
 
 
 def test_integer_string_seeds_are_recorded_as_integers(tmp_path):

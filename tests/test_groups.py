@@ -171,6 +171,27 @@ def test_one_division_hull_matches_its_definition():
                 assert {i for i in range(G.order) if member(i, frozenset(F))} == brute, (G.orders, B)
 
 
+def test_the_prime_order_points_decide_the_division_hull_by_its_definition():
+    # every singleton and seeded subsets of up to 4 elements, on every group of order <= 32
+    rng = random.Random(41)
+    for G in invariant_factor_groups(32):
+        member = build_abelian_linear_matroid(G).oracle.member
+        orders = [G.element_order(x) for x in G.elements]
+        subsets = [[i] for i in range(G.order)]
+        if G.order > 1:
+            subsets += [rng.sample(range(G.order), rng.randint(2, min(4, G.order))) for _ in range(20)]
+        for F in subsets:
+            core = subgroup_closure(G, [G.elements[i] for i in F]) - {G.zero}
+            brute = {
+                i for i, x in enumerate(G.elements)
+                if any(G.scalar(n, x) in core for n in range(1, orders[i] + 1))
+            } | {0}
+            assert {i for i in range(G.order) if member(i, frozenset(F))} == brute, (G.orders, F)
+        for x, points in zip(G.elements, G.prime_order_points):
+            assert all(p != G.zero and is_prime(G.element_order(p)) for p in points), (G.orders, x)
+    assert not hasattr(FiniteAbelianGroup, "multiples")
+
+
 # --- torsion ---------------------------------------------------------------------
 
 
