@@ -30,8 +30,17 @@ from typing import Callable, Iterable, Optional
 HOLDS = "holds-on-budget"
 VIOLATED = "violated"
 
-# a refusal echoes a bad input value through this, so an oversized one prints a bounded line
-_shown = reprlib.repr
+class _BoundedRepr(reprlib.Repr):
+    # repr refuses an int past the interpreter's digit limit (640 digits at its
+    # least) and is quadratic below it, so past 2,000 bits an int shows its size
+    def repr_int(self, x, level):
+        if x.bit_length() > 2_000:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+# a refusal echoes a bad or computed value through this, so an oversized one prints a bounded line
+_shown = _BoundedRepr().repr
 
 
 class InputError(ValueError):
@@ -397,7 +406,7 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
     else:
         if budget.count > budget.max_evaluations:
             raise BudgetError(
-                f"sampled {name} sweep of {budget.count} draws exceeds the cap of "
+                f"sampled {name} sweep of {_shown(budget.count)} draws exceeds the cap of "
                 f"{budget.max_evaluations}; use fewer draws"
             )
         rng = random.Random(budget.seed)

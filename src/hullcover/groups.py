@@ -13,6 +13,7 @@ exponent, in place of the element's multiples.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,14 +118,15 @@ class FiniteAbelianGroup:
             return str(x[0])
         return "(" + ",".join(map(str, x)) + ")"
 
+    # componentwise through C-level maps, with no Python frame per residue
     def add(self, x, y) -> tuple:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.orders))
 
     def neg(self, x) -> tuple:
-        return tuple((-a) % n for a, n in zip(x, self.orders))
+        return tuple(map(operator.mod, map(operator.neg, x), self.orders))
 
     def scalar(self, k: int, x) -> tuple:
-        return tuple((k * a) % n for a, n in zip(x, self.orders))
+        return tuple(map(operator.mod, map(operator.mul, itertools.repeat(k), x), self.orders))
 
     def element_order(self, x) -> int:
         x = self.element(x)

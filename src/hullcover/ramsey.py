@@ -157,8 +157,8 @@ def monochrome_rectangle(coloring: ProductColoring, lam) -> Rectangle:
     need = row_threshold(coloring.ncolors, lam)
     if coloring.nx < need:
         raise PremiseError(
-            f"pigeonhole premise failed: |X| = {coloring.nx} < c*(lam-1)+1 = {need} "
-            f"(c = {coloring.ncolors}, lam = {lam})",
+            f"pigeonhole premise failed: |X| = {_shown(coloring.nx)} < c*(lam-1)+1 = {_shown(need)} "
+            f"(c = {_shown(coloring.ncolors)}, lam = {_shown(lam)})",
             thresholds={"x_size_required": need},
         )
     if coloring.ny < 1:
@@ -342,7 +342,7 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
     if len(non_identity) < th["min_non_identity"]:
         raise PremiseError(
             f"group too small: {len(non_identity)} non-identity elements, need "
-            f"{th['min_non_identity']} (|X| = {th['x_size']}, |Y| = {th['y_size']})",
+            f"{_shown(th['min_non_identity'])} (|X| = {_shown(th['x_size'])}, |Y| = {_shown(th['y_size'])})",
             thresholds=th,
         )
     X = non_identity[: th["x_size"]]

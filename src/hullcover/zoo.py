@@ -1,7 +1,8 @@
 """Concrete hull-operator instances, all with exact arithmetic.
 
 Vector matroids over a prime field or the rationals (span membership by
-elimination, Fractions throughout, no floating point), graphic matroids
+elimination on integer rows, fraction-free over Q, with ``Fraction`` only
+where an entry is parsed and no floating point), graphic matroids
 (connectivity via union-find), the division hull on a finite abelian group,
 and the two hulls on a window of the integers: the subgroup hull, which is
 not a matroid, and the division hull, which is.
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .core import (
     Fields, HullOracle, InputError, MatroidInstance, _MAX_LISTED, _int, _int_rows, _ints, _shown,
@@ -78,28 +79,48 @@ class _DisjointSet:
 
 
 def _eliminate(rows, p):
-    """Echelon pivots ``(col, row)`` of ``rows`` over F_p, or over Q when p is 0.
+    """Echelon pivots ``(col, row)`` of integer ``rows`` over F_p, or over Q when p is 0.
 
-    Over Q the entries may be ints or Fractions; the pivots hold Fractions.
+    Over F_p each pivot is scaled to lead with 1.  Over Q the elimination is
+    fraction-free (Bareiss 1968): ``_reduce`` cross-multiplies, and each pivot
+    is divided by the gcd of its entries and given a positive lead.  It is
+    then the primitive integer multiple of the pivot an elimination over
+    Fractions would give, so the spans agree and no entry is a Fraction.
     """
     pivots = []
     for row in rows:
         row = _reduce(pivots, row, p)
         for col, v in enumerate(row):
             if v:
-                inv = pow(v, -1, p) if p else Fraction(1, v)
-                pivots.append((col, _reduce((), [inv * a for a in row], p)))
+                if p:
+                    inv = pow(v, -1, p)
+                    row = [inv * a % p for a in row]
+                else:
+                    g = gcd(*row) if v > 0 else -gcd(*row)
+                    row = [a // g for a in row]
+                pivots.append((col, row))
                 break
     return pivots
 
 
 def _reduce(pivots, row, p):
+    """``row`` less its components along the pivots: mod p over F_p, a nonzero multiple of that over Q."""
     for col, prow in pivots:
         coeff = row[col]
         if coeff:
-            row = [a - coeff * b for a, b in zip(row, prow)]
+            if p:
+                row = [a - coeff * b for a, b in zip(row, prow)]
+            else:
+                lead = prow[col]
+                row = [lead * a - coeff * b for a, b in zip(row, prow)]
     # over F_p the row is renormalized mod p, so coefficients stay small
     return [a % p for a in row] if p else row
+
+
+def _integer_row(v):
+    """The rational vector ``v`` times the lcm of its denominators: the same line, in integers."""
+    m = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (m // c.denominator) for c in v)
 
 
 def _instance(kind, span, labels, objects, is_matroid) -> MatroidInstance:
@@ -133,15 +154,17 @@ def build_vector_matroid(spec: VectorMatroidSpec) -> MatroidInstance:
             vectors = [tuple(v) for v in itertools.product(range(p), repeat=spec.dim)]
         else:
             vectors = [tuple(_int(c, "vector entry") % p for c in v) for v in spec.vectors]
+        rows = vectors
         kind = f"vector_fp(p={p})"
     elif spec.field == "q":
         p = 0
         vectors = [tuple(map(parse_rational, v)) for v in spec.vectors]
+        rows = list(map(_integer_row, vectors))
         kind = "vector_q"
     else:
         raise InputError(f"unknown vector field {_shown(spec.field)}; use 'fp' or 'q'")
 
-    def span(F, vecs=tuple(vectors), p=p):
+    def span(F, vecs=tuple(rows), p=p):
         pivots = _eliminate([vecs[i] for i in sorted(F)], p)
         if p and p ** len(pivots) < len(vecs):
             # listing p^rank vectors costs less than the n reductions of one closure

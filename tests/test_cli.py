@@ -375,6 +375,19 @@ BOUNDED = {
     "huge-quad-colors": (["quad", {"cyclic": 5}, "--colors", -HUGE], "color count"),
     "huge-prefix-k": (["prefix-color", HUGE], "exceeds the limit"),
     "huge-prefix-limit": (["prefix-color", "2", "--limit", HUGE], "limit must be"),
+    # computed values: a threshold or a count past the interpreter's int-to-str limit
+    "huge-pigeonhole": (
+        ["rectangle", {"formula": "constant", "x_size": 2, "y_size": 2, "colors": HUGE}, "--size", HUGE],
+        "pigeonhole premise failed",
+    ),
+    "huge-quad-thresholds": (
+        ["quad", {"cyclic": 101}, "--colors", 10**1500, "--formula", "seeded-uniform", "--seed", 1],
+        "group too small",
+    ),
+    "huge-sampled-count": (
+        ["check-axioms", {"kind": "graphic", "complete": 4}, "--budget", f"sampled:{HUGE}", "--seed", 1],
+        "exceeds the cap",
+    ),
 }
 
 

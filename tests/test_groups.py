@@ -94,6 +94,20 @@ def test_trivial_group_edge_cases():
 # --- subgroup closure ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("orders", [(), (2,), (97,), (4, 4, 16), (2, 3, 5, 7), (6, 10), (2**40, 3)])
+def test_group_arithmetic_is_componentwise(orders):
+    G = FiniteAbelianGroup(orders)
+    rng = random.Random(repr(orders))
+    for _ in range(50):
+        x, y = (tuple(rng.randrange(n) for n in orders) for _ in range(2))
+        k = rng.randint(-10**6, 10**6)
+        assert G.add(x, y) == tuple((a + b) % n for a, b, n in zip(x, y, orders))
+        assert G.neg(x) == tuple((-a) % n for a, n in zip(x, orders))
+        assert G.scalar(k, x) == tuple((k * a) % n for a, n in zip(x, orders))
+        assert G.add(x, G.neg(x)) == G.zero
+    assert G.add(G.zero, G.zero) == G.neg(G.zero) == G.scalar(5, G.zero) == G.zero
+
+
 def test_subgroup_closure_examples():
     assert subgroup_closure(Z6, [(2,)]) == {(0,), (2,), (4,)}
     Z2Z2 = FiniteAbelianGroup((2, 2))

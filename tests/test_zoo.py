@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -419,8 +421,28 @@ def test_fp_spans_listed_or_reduced_match_elimination():
     assert all(sides.values()), sides
 
 
+def fraction_reduce(pivots, row):
+    """Reference: ``row`` in Fractions less its components along lead-1 pivots."""
+    row = list(map(Fraction, row))
+    for col, prow in pivots:
+        row = [a - row[col] * b for a, b in zip(row, prow)]
+    return row
+
+
+def fraction_eliminate(rows):
+    """Reference: echelon pivots over Q in Fractions, each scaled to lead with 1."""
+    pivots = []
+    for row in rows:
+        row = fraction_reduce(pivots, row)
+        lead = next((v for v in row if v), 0)
+        if lead:
+            pivots.append((row.index(lead), [a / lead for a in row]))
+    return pivots
+
+
 def test_rational_elimination_is_exact_on_integer_rows():
-    # integer rows eliminate as the same rows of Fractions do, never through a float
+    # each integer pivot is the primitive, positive-lead multiple of the pivot
+    # Fractions give, in the same column, and holds no Fraction and no float
     rng = random.Random(39)
     for _ in range(200):
         d = rng.randint(1, 6)
@@ -429,8 +451,41 @@ def test_rational_elimination_is_exact_on_integer_rows():
         rows += [[0] * d] + rng.choices(rows, k=2)  # the zero row and repeats
         rng.shuffle(rows)
         pivots = zoo._eliminate(rows, 0)
-        assert pivots == zoo._eliminate([list(map(Fraction, row)) for row in rows], 0), rows
-        assert not any(isinstance(v, float) for _, row in pivots for v in row), rows
+        reference = fraction_eliminate(rows)
+        assert [col for col, _ in pivots] == [col for col, _ in reference], rows
+        for (col, prow), (_, frow) in zip(pivots, reference):
+            assert all(type(v) is int for v in prow), rows
+            assert prow[col] > 0 and math.gcd(*prow) == 1, rows
+            assert [prow[col] * v for v in frow] == prow, rows
+
+
+def test_rational_spans_match_a_fraction_elimination():
+    # vector_q membership on rationals up to 10^40 over 10^40, with the zero
+    # vector and repeats, decides as reducing over Fractions does
+    rng = random.Random(42)
+    started = time.perf_counter()
+    decisions = set()
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        bound = rng.choice((3, 10**6, 10**40))
+
+        def entry():
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+        vectors = [tuple(entry() for _ in range(d)) for _ in range(rng.randint(1, 7))]
+        vectors += [(Fraction(0),) * d] + rng.choices(vectors, k=2)
+        rng.shuffle(vectors)
+        M = build_vector_matroid(VectorMatroidSpec("q", vectors=tuple(vectors)))
+        assert M.objects == tuple(vectors)
+        for _ in range(4):
+            F = frozenset(rng.sample(range(len(vectors)), rng.randint(0, min(len(vectors), 5))))
+            reference = fraction_eliminate([vectors[i] for i in sorted(F)])
+            for x in range(len(vectors)):
+                expected = not any(fraction_reduce(reference, vectors[x]))
+                assert M.oracle.member(x, F) == expected, (vectors, sorted(F), x)
+                decisions.add(expected)
+    assert decisions == {True, False}
+    assert time.perf_counter() - started < 1
 
 
 def test_rational_rank_and_span_match_sympy():
