@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import platform
 import stat
@@ -61,6 +60,7 @@ from .ramsey import (
     prefix_coloring,
     table_group,
     dependent_monochrome_quad,
+    quad_checks,
     quad_thresholds,
     verify_no_monochrome_odd_cycle,
     verify_rectangle,
@@ -215,7 +215,7 @@ def _run_quad(f, seed):
     ncolors = descriptor("colors", _int)
     chi = group_coloring(group, descriptor, seed)
     cert = dependent_monochrome_quad(group, chi, ncolors)
-    ax, bx, ay, by = cert.elements
+    checks = quad_checks(group, chi, cert)
     payload = {
         "group": read.record,  # as read: the manifest's parameters.group
         "colors": ncolors,
@@ -223,11 +223,9 @@ def _run_quad(f, seed):
         **vars(cert),
         "parameter_labels": {key: group.labels[getattr(cert, key)] for key in "abxy"},
         "element_labels": [group.labels[g] for g in cert.elements],
-        "relation_verified": group.mul(group.mul(ay, group.inv(by)), bx) == ax,
-        "distinct": len(set(cert.elements)) == 4,
-        "monochrome": len({chi(g) for g in cert.elements}) == 1,
+        **checks,
     }
-    ok = payload["relation_verified"] and payload["distinct"] and payload["monochrome"]
+    ok = all(checks.values())
     return "quad", payload, {"certificate_valid": ok}, EXIT_OK if ok else EXIT_CERTIFICATE
 
 
@@ -297,57 +295,33 @@ def _run_group(f, seed):
 # the document writer
 
 
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# the text of a scalar of each exact type, spelled as json.encoder spells it
-# (on an exact int, repr is int.__repr__, and the faster call)
+# the text of a scalar of each type a document holds, spelled as json.encoder
+# spells it (on an int, repr is int.__repr__, and the faster call)
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: repr,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-def _scalar_text(o):
-    """``o``'s text as ``json.dumps`` writes a scalar, or None when ``o`` is not one."""
-    text = _SCALAR_TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    # subclasses (an IntEnum) are written as their base type, as json.encoder does
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
 def _shared_text(kinds):
-    """The text function of the exact scalar type that is all of ``kinds``, else None."""
+    """The text function of the one scalar type that is all of ``kinds``, else None."""
     return _SCALAR_TEXT.get(*kinds) if len(kinds) == 1 else None
 
 
 def _chunks(o, pad=""):
     """Yield the text of ``json.dumps(o, indent=2, sort_keys=True)``, nested ``pad`` deep.
 
-    A list or tuple whose items share one exact scalar type is one chunk,
-    joined at once; a list of such lists is one chunk per item.  Everything
-    else recurses, and what ``json.dumps`` refuses raises ``TypeError``.
+    ``o`` holds what documents hold: dicts with str keys, lists and tuples,
+    and str, int, bool and None scalars, each of exactly that type.  Anything
+    else, a float or an ``IntEnum`` member among them, raises ``TypeError``.
+    A list or tuple whose items share one scalar type is one chunk, joined at
+    once; a list of such lists is one chunk per item.  Everything else recurses.
     """
-    text = _scalar_text(o)
+    text = _SCALAR_TEXT.get(type(o))
     if text is not None:
-        yield text
+        yield text(o)
     elif isinstance(o, (list, tuple)):
         if not o:
             yield "[]"
@@ -378,13 +352,9 @@ def _chunks(o, pad=""):
         inner = pad + "  "
         head = "{\n" + inner
         for key, value in sorted(o.items()):
-            if isinstance(key, str):
-                key = encode_basestring_ascii(key)
-            elif (text := _scalar_text(key)) is not None:
-                key = f'"{text}"'
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-            yield f"{head}{key}: "
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield f"{head}{encode_basestring_ascii(key)}: "
             yield from _chunks(value, inner)
             head = ",\n" + inner
         yield f"\n{pad}}}"

@@ -54,10 +54,11 @@ class InputError(ValueError):
 def _int(value, what):
     """``value`` as an int: an integer, an integer string or an integral float.
 
-    Raise InputError for anything else, including a value ``int`` would truncate.
+    Raise InputError for anything else, including a value ``int`` would
+    truncate and a JSON ``true`` or ``false``.
     """
     try:
-        cast = int(value)
+        cast = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         cast = None
     if cast is None or cast != value and not isinstance(value, str):
@@ -65,11 +66,11 @@ def _int(value, what):
     return cast
 
 
-# The most items (group elements or multiples, edges, vectors, vertices,
-# window values) an input may make a construction list.  Listing 2^20 of
-# them takes 0.3-5 s and 140-360 MB of Python objects (F_2^20's vectors the
-# most; one x86-64 core, Python 3.11); far beyond that a run ends in
-# MemoryError or runs until killed, so the count is checked first.
+# The most items (group elements, edges, vectors, vertices, window values)
+# an input may make a construction list.  Listing 2^20 of them takes 0.3-5 s
+# and 140-360 MB of Python objects (F_2^20's vectors the most; one x86-64
+# core, Python 3.11); far beyond that a run ends in MemoryError or runs until
+# killed, so the count is checked first.
 _MAX_LISTED = 1 << 20
 
 

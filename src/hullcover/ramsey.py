@@ -366,15 +366,22 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
     }
     y = next(z for z in fiber if z not in excluded)
     quad = (group.mul(a, x), group.mul(b, x), group.mul(a, y), group.mul(b, y))
-    if len(set(quad)) != 4:
-        raise InternalInconsistencyError(f"quad elements collide: {quad}")
-    colors = {chi(g) for g in quad}
-    if colors != {rect.color}:
-        raise InternalInconsistencyError(f"quad not monochrome: colors {sorted(colors)}")
-    ax, bx, ay, by = quad
-    if group.mul(group.mul(ay, group.inv(by)), bx) != ax:
-        raise InternalInconsistencyError("group relation ax = ay*(by)^-1*bx failed")
-    return QuadCertificate(a, b, x, y, quad, rect.color)
+    cert = QuadCertificate(a, b, x, y, quad, rect.color)
+    failed = [name for name, held in quad_checks(group, chi, cert).items() if not held]
+    if failed:
+        raise InternalInconsistencyError(f"quad {quad} fails {', '.join(failed)}")
+    return cert
+
+
+def quad_checks(group: FiniteGroup, chi: Callable[[int], int], cert: QuadCertificate) -> dict:
+    """Each check of ``cert`` by name: its elements ax, bx, ay, by satisfy
+    ax = ay*(by)^-1*bx, are distinct, and all have color ``cert.color``."""
+    ax, bx, ay, by = cert.elements
+    return {
+        "relation_verified": group.mul(group.mul(ay, group.inv(by)), bx) == ax,
+        "distinct": len(set(cert.elements)) == 4,
+        "monochrome": {chi(g) for g in cert.elements} == {cert.color},
+    }
 
 
 # ---------------------------------------------------------------------------

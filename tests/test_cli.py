@@ -437,6 +437,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         {"kind": "graphic", "vertices": 3, "edges": [4]},
         {"kind": "abelian", "orders": [2, "z"]},
         {"kind": "vector_fp", "p": 2, "dim": -1},
+        # an integer is never a boolean
+        {"kind": "graphic", "complete": True},
+        {"kind": "vector_fp", "p": 2, "vectors": [[True, False], [False, True]]},
         # non-integral numbers are refused, not truncated
         {"kind": "graphic", "complete": 3.7},
         {"kind": "vector_fp", "p": 2.9, "dim": 2},
@@ -488,6 +491,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         # verify is JSON true or false, never a string or number read as truthy
         {"subcommand": "prefix-color", "parameters": {"k": 2, "verify": "false"}},
         {"subcommand": "prefix-color", "parameters": {"k": 2, "verify": 1}},
+        # an integer is never a boolean
+        {"subcommand": "prefix-color", "parameters": {"k": True}, "seed": False},
+        {"subcommand": "prefix-color", "parameters": {"k": True}},
         {"subcommand": "rectangle", "parameters": {"coloring": {"x_size": 3, "y_size": 6}, "size": "z"}},
         {"subcommand": "rectangle", "parameters": {"coloring": mod_coloring, "size": 2.5}},
         {"subcommand": "quad", "parameters": {"group": {"cyclic": 5}, "coloring": {"colors": "c"}}},
@@ -819,14 +825,13 @@ class Level(enum.IntEnum):
     LOW = 3
 
 
-# the values json.dumps treats with care: int subclasses and bools among ints,
-# signed zeros, huge and non-finite floats, escapes, non-ASCII text, and
-# non-string keys it coerces
+# the values a document holds that json.dumps treats with care: huge and
+# negative ints, bools among ints, escapes, non-ASCII text, empty containers,
+# tuples and nesting
 DOCUMENT = {
-    "rows": [[0, 1, 2], [], [3, True, -4], (5, Level.LOW)],
-    "floats": [-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf],
+    "rows": [[0, 1, 2], [], [3, True, -4], (5, -2**70)],
     "text": ["", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028"],
-    "keys": [{3: "int", 2.5: "float", True: "bool", -0.0: "zero"}, {None: "null"}],
+    "keys": [{"b": "str", "": None, "\u00e9": False}, {"null": None}],
     "empty": [{}, [], ()],
     "nested": {"b": [{"z": 2**70, "a": [False]}], "a": ()},
 }
@@ -902,6 +907,35 @@ def test_writer_refuses_what_json_dumps_refuses(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
+# what no document holds and json.dumps would write: floats, int and str
+# subclasses, and non-str keys, each put where the writer takes each path
+class Text(str):
+    pass
+
+
+PLACES = {
+    "top": lambda v: v,
+    "ints": lambda v: [1, v, 2],
+    "rows": lambda v: [[1, 2], [3, v]],
+    "nested": lambda v: {"a": [{"b": v}]},
+}
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize(
+    "document",
+    [0.5, -0.0, math.nan, math.inf, Level.LOW, Text("a"), {3: "int"}, {None: "null"}, {True: "bool"}],
+    ids=["float", "negative-zero", "nan", "inf", "int-enum", "str-subclass", "int-key", "none-key", "bool-key"],
+)
+def test_writer_refuses_what_no_document_holds(tmp_path, place, document):
+    document = PLACES[place](document)
+    with pytest.raises(TypeError):
+        cli._write_text(document, io.StringIO())
+    with pytest.raises(TypeError):
+        cli._write_document(document, tmp_path / "doc.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 class Record(dict):
     pass
 
@@ -913,15 +947,14 @@ class Row(list):
 # scalars grouped by exact type, so a list drawn from one group is flat
 SCALARS = {
     "int": [0, 1, -7, 2**70],
-    "float": [-0.0, 0.5, 1e300, -1e-300, math.nan, math.inf, -math.inf],
     "str": ["", "a", "caf\u00e9 \u2192 \U0001f600", "tab\tquote\"back\\slash\n\x00\x1f\u2028"],
     "bool": [True, False],
     "none": [None],
 }
-# an int subclass and bools among ints: not flat, so they take the recursive path
-SCALARS["mixed"] = [*SCALARS["int"], Level.LOW, True, False]
-# each group sorts among itself, as json.dumps needs for sort_keys
-KEYS = [["b", "a", "\u00e9", "z\u2028", ""], [3, 2.5, True, -0.0, math.inf, Level.LOW, -1], [None]]
+# bools and None among ints and text: not flat, so they take the recursive path
+SCALARS["mixed"] = [*SCALARS["int"], True, False, None, "a"]
+# str keys only, as every document has them
+KEYS = [["b", "a", "\u00e9", "z\u2028", ""], ["key", "Key", "k\x00"]]
 
 
 def _random_document(rng, depth):

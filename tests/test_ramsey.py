@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
 from math import comb
 
 import pytest
 
-from hullcover.core import InputError, PremiseError
+from hullcover import ramsey
+from hullcover.core import InputError, InternalInconsistencyError, PremiseError
 from hullcover.groups import FiniteAbelianGroup
 from hullcover.partition import layered_partition
 from hullcover.ramsey import (
@@ -25,6 +27,7 @@ from hullcover.ramsey import (
     row_threshold,
     table_group,
     dependent_monochrome_quad,
+    quad_checks,
     quad_thresholds,
     verify_forest_classes,
     verify_no_monochrome_odd_cycle,
@@ -238,6 +241,28 @@ def test_quad_relation_is_a_group_identity():
     ax, bx, ay, by = group.mul(a, x), group.mul(b, x), group.mul(a, y), group.mul(b, y)
     assert group.mul(group.mul(ay, group.inv(by)), bx) == ax
     assert ax == 6
+
+
+def test_quad_checks_fail_exactly_where_a_certificate_is_broken(monkeypatch):
+    group = cyclic_group(26)
+    chi = group_coloring(group, {"formula": "mod", "colors": 2})
+    cert = dependent_monochrome_quad(group, chi, 2)
+    assert quad_checks(group, chi, cert) == {"relation_verified": True, "distinct": True, "monochrome": True}
+    ax, bx, ay, by = cert.elements
+    broken = {
+        # ax = bx and ay = by keep ax = ay*(by)^-1*bx
+        "distinct": dataclasses.replace(cert, elements=(ax, ax, ay, ay)),
+        # bx = ay*(by)^-1*ax would need (ax*bx^-1)^2 = e, and ax - bx = -2 in Z_26
+        "relation_verified": dataclasses.replace(cert, elements=(bx, ax, ay, by)),
+        "monochrome": dataclasses.replace(cert, color=1 - cert.color),
+    }
+    for name, bad in broken.items():
+        assert [check for check, held in quad_checks(group, chi, bad).items() if not held] == [name]
+    # the builder refuses a certificate that fails a check, naming the check
+    rectangle = ramsey.monochrome_rectangle
+    monkeypatch.setattr(ramsey, "monochrome_rectangle", lambda *a: dataclasses.replace(rectangle(*a), color=9))
+    with pytest.raises(InternalInconsistencyError, match="fails monochrome$"):
+        dependent_monochrome_quad(group, chi, 2)
 
 
 def test_quad_premise_error_reports_thresholds():
