@@ -23,6 +23,7 @@ import platform
 import stat
 import sys
 import time
+from collections import Counter
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -277,6 +278,9 @@ def _run_group(f, seed):
         if not elements:
             raise InputError("group independence needs --elements")
         elems = [G.element(tuple(e)) for e in elements]
+        (common, times), = Counter(elems).most_common(1)
+        if times > 1:
+            raise InputError(f"group independence: element {_shown(common)} is repeated")
         independent = is_linearly_independent(G, elems)
         M = build_abelian_linear_matroid(G)
         hull_independent = is_independent(M, [M.index_of(e) for e in elems])
@@ -507,44 +511,39 @@ def _build_parser():
     p = sub.add_parser("partition", help="partition a ground set into independent classes")
     p.add_argument("spec", help="matroid spec file (JSON)")
     p.add_argument("--basis", help="comma-separated element indices to use as the basis")
-    p.add_argument("--out")
 
     p = sub.add_parser("check-axioms", help="sweep hull, idempotence and exchange axioms")
     p.add_argument("spec", help="matroid spec file (JSON)")
     p.add_argument("--budget", default="exhaustive:3", help="exhaustive[:K] or sampled:COUNT[:K]")
     p.add_argument("--seed")
-    p.add_argument("--out")
 
     p = sub.add_parser("rectangle", help="monochrome rectangle in a product coloring")
     p.add_argument("coloring", help="coloring file (JSON table or generator)")
     p.add_argument("--size", required=True, help="requested |A|")
     p.add_argument("--seed")
-    p.add_argument("--out")
 
     p = sub.add_parser("quad", help="dependent monochrome 4-set in a finite group")
     p.add_argument("group", help="group file (JSON: cyclic, orders, or table)")
     p.add_argument("--colors", required=True)
     p.add_argument("--formula", help="constant (the default), mod or seeded-uniform")
     p.add_argument("--seed")
-    p.add_argument("--out")
 
     p = sub.add_parser("prefix-color", help="first-differing-bit edge coloring of K_{2^k}")
     p.add_argument("k")
     p.add_argument("--verify", action="store_true", help="also run the odd-cycle check")
     p.add_argument("--limit", help=f"largest k allowed (default and most: {_MAX_PREFIX_K})")
-    p.add_argument("--out")
 
     p = sub.add_parser("group", help="finite abelian group reports")
     p.add_argument("op", help="torsion, decompose or independence")
     p.add_argument("--orders", required=True, help="comma-separated cyclic orders")
     p.add_argument("--n", help="torsion index (torsion op)")
     p.add_argument("--elements", help="semicolon-separated residue tuples, e.g. 1,0;0,1")
-    p.add_argument("--out")
 
     p = sub.add_parser("rerun", help="re-execute the manifest inside an output file")
     p.add_argument("source", help="output document or bare manifest (JSON)")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

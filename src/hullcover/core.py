@@ -46,10 +46,6 @@ _shown = _BoundedRepr().repr
 class InputError(ValueError):
     """Malformed input: unknown identifiers, bad specs, bad parameters."""
 
-    def __init__(self, message, circuit=None):
-        super().__init__(message)
-        self.circuit = circuit
-
 
 def _int(value, what):
     """``value`` as an int: an integer, an integer string or an integral float.
@@ -128,11 +124,7 @@ class Fields:
 
 
 class PremiseError(ValueError):
-    """A finite feasibility premise is not met; carries the derived thresholds."""
-
-    def __init__(self, message, thresholds=None):
-        super().__init__(message)
-        self.thresholds = dict(thresholds or {})
+    """A finite feasibility premise is not met; the message names the thresholds."""
 
 
 class BudgetError(RuntimeError):
@@ -393,12 +385,22 @@ def _sweep(axiom, M, budget, cost_per_set, exhaustive, sampled) -> AxiomReport:
     k = min(budget.max_subset_size, n)
     name = _SWEEP_NAMES.get(axiom, axiom)
     if budget.mode == "exhaustive":
-        estimate = sum(comb(n, s) for s in range(k + 1)) * cost_per_set(n, k)
-        if estimate > budget.max_evaluations:
+        # the sweep lists its sets, so their count stops once it passes what one run may list
+        sets = 0
+        for size in range(k + 1):
+            sets += comb(n, size)
+            if sets > _MAX_LISTED:
+                break
+        estimate = sets * cost_per_set(n, k)
+        if sets > _MAX_LISTED or estimate > budget.max_evaluations:
+            over = (
+                f"cap {budget.max_evaluations}" if estimate > budget.max_evaluations
+                else f"more than the {_MAX_LISTED} sets one sweep may list"
+            )
             raise BudgetError(
-                f"exhaustive {name} sweep over {n} elements "
-                f"with |A| <= {budget.max_subset_size} needs about {estimate} oracle "
-                f"evaluations (cap {budget.max_evaluations}); use a sampled budget with a seed",
+                f"exhaustive {name} sweep over {n} elements with |A| <= {_shown(budget.max_subset_size)} "
+                f"needs {'about' if size == k else 'more than'} {_shown(estimate)} oracle "
+                f"evaluations ({over}); use a sampled budget with a seed",
                 estimate=estimate,
             )
         subsets = (itertools.combinations(range(n), size) for size in range(k + 1))

@@ -7,7 +7,7 @@ primary decomposition and linear-independence testing, all by exact integer
 arithmetic.  ``division_test`` is the one [B] predicate: ``linear_hull``
 and the ``abelian`` oracle of ``hullcover.zoo`` both call it, and it reads
 each element's prime-order points, at most one per prime dividing the
-exponent, in place of the element's multiples.
+exponent.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def layer_decomposition(M: MatroidInstance, basis=None) -> LayerDecomposition:
     """Closure layers of a basis, default the canonical greedy basis.
 
     A supplied basis must be independent; a dependent one is rejected with
-    its circuit attached to the error.
+    its circuit named in the error.
     """
     if basis is None:
         basis = greedy_basis(M)
@@ -48,7 +48,7 @@ def layer_decomposition(M: MatroidInstance, basis=None) -> LayerDecomposition:
             raise InputError("basis contains repeated elements")
         circuit = find_circuit_within(M, basis)
         if circuit is not None:
-            raise InputError(f"supplied basis is dependent, circuit {circuit}", circuit=circuit)
+            raise InputError(f"supplied basis is dependent, circuit {circuit}")
     layers = []
     prev = closure(M, frozenset())
     kept: list = []

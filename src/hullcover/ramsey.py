@@ -158,11 +158,10 @@ def monochrome_rectangle(coloring: ProductColoring, lam) -> Rectangle:
     if coloring.nx < need:
         raise PremiseError(
             f"pigeonhole premise failed: |X| = {_shown(coloring.nx)} < c*(lam-1)+1 = {_shown(need)} "
-            f"(c = {_shown(coloring.ncolors)}, lam = {_shown(lam)})",
-            thresholds={"x_size_required": need},
+            f"(c = {_shown(coloring.ncolors)}, lam = {_shown(lam)})"
         )
     if coloring.ny < 1:
-        raise PremiseError("need at least one row", thresholds={"y_size_required": 1})
+        raise PremiseError("need at least one row")
     fibers: dict = {}
     for y in range(coloring.ny):
         picked = _least_monochrome_positions(coloring.row(y), lam)
@@ -342,8 +341,7 @@ def dependent_monochrome_quad(group: FiniteGroup, chi: Callable[[int], int], nco
     if len(non_identity) < th["min_non_identity"]:
         raise PremiseError(
             f"group too small: {len(non_identity)} non-identity elements, need "
-            f"{_shown(th['min_non_identity'])} (|X| = {_shown(th['x_size'])}, |Y| = {_shown(th['y_size'])})",
-            thresholds=th,
+            f"{_shown(th['min_non_identity'])} (|X| = {_shown(th['x_size'])}, |Y| = {_shown(th['y_size'])})"
         )
     X = non_identity[: th["x_size"]]
     x_inverses = {group.inv(g) for g in X}
@@ -519,7 +517,7 @@ def monochrome_bipartite(coloring: EdgeColoring, lam) -> Rectangle:
     count.
     """
     if coloring.n < 2:
-        raise PremiseError("need at least 2 vertices", thresholds={"vertices_required": 2})
+        raise PremiseError("need at least 2 vertices")
     half = (coloring.n + 1) // 2
     induced = ProductColoring(
         half,

@@ -282,6 +282,24 @@ def test_group_argument_validation(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "orders,elements,repeated",
+    [("4", [[1], [1]], "(1,)"), ("4", [[1], [2], [1]], "(1,)"), ("2,2", [[1, 0], [0, 1], [1, 0]], "(1, 0)")],
+)
+def test_group_independence_refuses_a_repeated_element(tmp_path, capsys, orders, elements, repeated):
+    # 1*a - 1*a = 0, so a list with a repeat is dependent, whatever the set of its elements is
+    text = ";".join(",".join(map(str, e)) for e in elements)
+    parameters = {"op": "independence", "orders": orders.split(","), "elements": elements}
+    manifest = write_json(tmp_path / "manifest.json", {"subcommand": "group", "parameters": parameters})
+    for argv in (["group", "independence", "--orders", orders, "--elements", text], ["rerun", manifest]):
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "x.json"]) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"hullcover: error: group independence: element {repeated} is repeated"
+        ], argv
+    assert not (tmp_path / "x.json").exists()
+
+
 # each file is written as raw text: json.dumps renders neither a 5,000-digit int nor deep nesting
 UNDECODABLE = {
     "5000-digit-int": ("partition", '{"kind": "graphic", "complete": ' + "1" * 5000 + "}"),
@@ -397,6 +415,19 @@ def test_a_refusal_echoes_a_bounded_repr_of_the_bad_value(tmp_path, capsys, argv
     assert run([*argv, "--out", tmp_path / "x.json"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("hullcover: error: ") and named in line and len(line.encode()) < 400, line[:500]
+
+
+# the sets are counted size by size, stopping past the listing bound: K_175 with K = 100,000 once
+# summed 15,226 binomials to a 15,252-bit estimate that str could not print
+@pytest.mark.parametrize("complete,k", [(175, "100000"), (14, "1" + "0" * 600)], ids=["K175", "K14-huge-K"])
+def test_an_exhaustive_budget_refusal_is_bounded_in_time_and_length(tmp_path, capsys, complete, k):
+    spec = write_json(tmp_path / "spec.json", {"kind": "graphic", "complete": complete})
+    started = time.perf_counter()
+    assert run(["check-axioms", spec, "--budget", f"exhaustive:{k}", "--out", tmp_path / "x.json"]) == 2
+    assert time.perf_counter() - started < 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("hullcover: error: exhaustive hull-operator sweep over ") and len(line.encode()) <= 400
+    assert " needs more than " in line and "(cap 2000000)" in line, line
 
 
 @pytest.mark.parametrize("k", [8, 9])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from math import comb
 
 import pytest
 
@@ -294,6 +295,19 @@ def test_exhaustive_budget_refuses_oversized_sweeps():
             f"{estimate} oracle evaluations (cap 0); use a sampled budget with a seed"
         )
     assert calls == []
+
+
+def test_an_exhaustive_budget_of_more_sets_than_one_sweep_may_list_is_refused():
+    # 2^21 sets over 21 elements: the count stops at size 11, past 2^20, before any oracle call
+    M = MatroidInstance(range(21), HullOracle("uncallable", None))
+    estimate = (2**20 + comb(21, 11)) * 42
+    with pytest.raises(BudgetError) as info:
+        check_idempotent(M, Budget.exhaustive(21, max_evaluations=10**12))
+    assert info.value.estimate == estimate
+    assert str(info.value) == (
+        f"exhaustive idempotence sweep over 21 elements with |A| <= 21 needs more than {estimate} "
+        "oracle evaluations (more than the 1048576 sets one sweep may list); use a sampled budget with a seed"
+    )
 
 
 def test_budget_parse_round_trip():

@@ -86,9 +86,8 @@ def test_layers_are_monotone_and_avoid_earlier_closures():
 
 def test_dependent_basis_is_rejected_with_circuit():
     triangle = tuple(range(3))
-    with pytest.raises(InputError) as info:
+    with pytest.raises(InputError, match=r"^supplied basis is dependent, circuit \(0, 1, 2\)$"):
         layer_decomposition(K3, triangle)
-    assert info.value.circuit == triangle
     with pytest.raises(InputError):
         layer_decomposition(K3, (0, 0))
 
@@ -197,6 +196,16 @@ def test_verify_partition_flags_overlap_and_coverage():
     )
     report = verify_partition(F2_D2, overlapping)
     assert not report.disjoint and not report.covers and not report.ok
+
+
+def test_verify_partition_names_a_loop_a_class_holds_as_stray():
+    P = layered_partition(F2_D2)
+    (loop,) = F2_D2.loops
+    with_loop = dataclasses.replace(P, classes=(P.classes[0] + (loop,), *P.classes[1:]), class_of=(0, 0, 0, 1))
+    report = verify_partition(F2_D2, with_loop)
+    assert not report.covers and not report.ok and report.disjoint
+    assert f"stray elements [{loop}]" in report.detail
+    assert "uncovered" not in report.detail
 
 
 def test_verify_partition_rebuilds_class_of_from_the_classes():
