@@ -170,11 +170,10 @@ def _run_partition(f, seed):
 def _run_check_axioms(f, seed):
     M = matroid_from_spec(f("spec", Fields))
     b = f("budget", Fields)
-    budget = Budget(
-        b("mode"), b("max_subset_size", _int), b("seed", _int, None), b("count", _int, None)
-    )
-    if seed is not None and budget.seed not in (None, seed):
-        raise InputError(f"budget seed {_shown(budget.seed)} contradicts --seed {_shown(seed)}")
+    mode = b("mode")
+    # a sampled budget reads its seed as a coloring does; an exhaustive one refuses any
+    budget_seed = b.seed(seed) if mode == "sampled" else b("seed", _int, None)
+    budget = Budget(mode, b("max_subset_size", _int), budget_seed, b("count", _int, None))
     reports = [check_hull_axioms(M, budget), check_idempotent(M, budget), check_exchange(M, budget)]
     entries = []
     verdicts = {}
@@ -257,6 +256,9 @@ def _run_prefix_color(f, seed):
 
 def _run_group(f, seed):
     op, n, elements = f("op"), f("n", _int, None), f("elements", _int_rows, None)
+    for key, ops in (("n", ("decompose", "independence")), ("elements", ("torsion", "decompose"))):
+        if op in ops and f.record[key] is not None:
+            raise InputError(f"group {op} takes no {key}, got {_shown(f.record[key])}")
     G = FiniteAbelianGroup(tuple(f("orders", _ints)))
     if op == "torsion":
         if n is None:

@@ -326,6 +326,10 @@ class Budget:
             raise InputError(f"sampled budget COUNT must be an integer >= 1, got {_shown(self.count)}")
         if self.mode == "sampled" and not isinstance(self.seed, int):
             raise InputError(f"sampled budget needs an integer seed, got {_shown(self.seed)}")
+        if self.mode == "exhaustive" and self.seed is not None:
+            raise InputError(f"exhaustive budget takes no seed, got {_shown(self.seed)}")
+        if self.mode == "exhaustive" and self.count is not None:
+            raise InputError(f"exhaustive budget takes no COUNT, got {_shown(self.count)}")
 
     @classmethod
     def parse(cls, text, seed=None):

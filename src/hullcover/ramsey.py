@@ -15,6 +15,7 @@ class carries the first cycle its search closes.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -412,8 +413,7 @@ class EdgeColoring:
         return self.colors[_pair_index(self.n, u, v)]
 
     def edges(self):
-        for i, (u, v) in enumerate(itertools.combinations(range(self.n), 2)):
-            yield u, v, self.colors[i]
+        return map(operator.add, itertools.combinations(range(self.n), 2), zip(self.colors))
 
 
 # the largest k a prefix coloring may be asked for: K_{2^12} has 8.4 M edges

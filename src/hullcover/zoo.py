@@ -62,22 +62,6 @@ class IntegerHullSpec:
     variant: str = "subgroup"
 
 
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        self.parent[self.find(y)] = self.find(x)
-
-
 def _eliminate(rows, p):
     """Echelon pivots ``(col, row)`` of integer ``rows`` over F_p, or over Q when p is 0.
 
@@ -211,11 +195,18 @@ def build_graphic_matroid(spec: GraphSpec) -> MatroidInstance:
             edges.append(key)
 
     def span(F, edges=tuple(edges), n=n):
-        dsu = _DisjointSet(n)
+        parent = list(range(n))
+
+        def root(x):  # union-find with path halving
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
         for i in F:
-            dsu.union(*edges[i])
-        root = [dsu.find(v) for v in range(n)]
-        return lambda x: root[edges[x][0]] == root[edges[x][1]]
+            u, v = edges[i]
+            parent[root(v)] = root(u)
+        roots = [root(v) for v in range(n)]
+        return lambda x: roots[edges[x][0]] == roots[edges[x][1]]
 
     labels = [f"e{u}-{v}" for u, v in edges]
     return _instance("graphic", span, labels, edges, True)

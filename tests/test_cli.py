@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hullcover import cli
+from hullcover import cli, ramsey
 from hullcover.core import Fields, InputError
 
 
@@ -156,6 +156,20 @@ def test_a_failed_rectangle_verification_exits_3(tmp_path, monkeypatch):
     doc = load(out)
     assert doc["rectangle"]["verified"] is False
     assert doc["manifest"]["verdicts"] == {"verified": False}
+
+
+def test_an_internal_inconsistency_exits_3_with_one_line_and_no_document(tmp_path, capsys, monkeypatch):
+    # monochrome_rectangle re-verifies what it built, so the run stops before any document
+    monkeypatch.setattr(ramsey, "verify_rectangle", lambda coloring, rect: False)
+    coloring = write_json(
+        tmp_path / "col.json", {"x_size": 3, "y_size": 6, "colors": 2, "formula": "mod"}
+    )
+    out = tmp_path / "rect.json"
+    assert run(["rectangle", coloring, "--size", "2", "--out", out]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "hullcover: internal inconsistency: constructed rectangle failed re-verification"
+    ]
+    assert not out.exists() and not list(tmp_path.glob(".*.tmp"))
 
 
 def test_rectangle_premise_error_exits_2(tmp_path):
@@ -380,6 +394,7 @@ BOUNDED = {
     "huge-cyclic-order": (["partition", {"kind": "abelian", "orders": [HUGE]}], "cyclic order"),
     "huge-torsion-index": (["group", "torsion", "--orders", "4", "--n", -HUGE], "torsion index"),
     "huge-torsion-size": (["group", "torsion", "--orders", TWOS, "--n", HUGE + 1], "1048576"),
+    "huge-unused-n": (["group", "decompose", "--orders", "4", "--n", HUGE], "takes no n"),
     "huge-residue": (["group", "independence", "--orders", "4", "--elements", HUGE], "residue"),
     "huge-table-color": (["rectangle", {"table": [[HUGE]], "colors": 2}, "--size", "1"], "color"),
     "huge-constant-color": (["rectangle", {"x_size": 2, "y_size": 2, "value": HUGE}, "--size", "1"], "constant color"),
@@ -650,6 +665,20 @@ def test_a_bad_value_gets_one_message_on_the_command_line_and_in_a_rerun(tmp_pat
          "unknown coloring formula 'bogus'"),
         (["group", "sum", "--orders", "4"], "group", {"op": "sum", "orders": ["4"]}, None,
          "unknown group operation 'sum'"),
+        # a parameter the operation does not use is refused, not recorded
+        (["group", "decompose", "--orders", "4", "--n", "-1"], "group", {"op": "decompose", "orders": ["4"], "n": "-1"},
+         None, "group decompose takes no n, got -1"),
+        (["group", "decompose", "--orders", "4", "--elements", "1;2"], "group",
+         {"op": "decompose", "orders": ["4"], "elements": [["1"], ["2"]]}, None,
+         "group decompose takes no elements, got [[1], [2]]"),
+        (["group", "torsion", "--orders", "4", "--n", "2", "--elements", "1"], "group",
+         {"op": "torsion", "orders": ["4"], "n": "2", "elements": [["1"]]}, None,
+         "group torsion takes no elements, got [[1]]"),
+        (["group", "independence", "--orders", "4", "--elements", "1", "--n", "3"], "group",
+         {"op": "independence", "orders": ["4"], "elements": [["1"]], "n": "3"}, None,
+         "group independence takes no n, got 3"),
+        (["group", "sum", "--orders", "4", "--n", "3"], "group", {"op": "sum", "orders": ["4"], "n": "3"}, None,
+         "unknown group operation 'sum'"),
     ]
     out = tmp_path / "out.json"
     for argv, subcommand, parameters, seed, message in cases:
@@ -815,6 +844,39 @@ def test_reruns_record_parameters_as_read(tmp_path):
     assert run(["prefix-color", "2", "--out", fresh]) == 0
     manifest = {"subcommand": "prefix-color", "parameters": {"k": "2"}}
     assert _rerun(tmp_path, "k2", manifest) == (0, fresh.read_bytes())
+
+
+def test_an_exhaustive_budget_refuses_a_seed_or_count_in_a_rerun(tmp_path, capsys):
+    # the command line cannot give an exhaustive budget either; a rerun manifest can
+    manifest = load(GOLDEN / "02-check-axioms.json")["manifest"]
+    for key, value, shown in (("count", -1, "COUNT, got -1"), ("seed", 5, "seed, got 5"),
+                              ("count", 2**3000, "COUNT, got <int of 3001 bits>")):
+        budget = {**manifest["parameters"]["budget"], key: value}
+        edited = {**manifest, "parameters": {**manifest["parameters"], "budget": budget}}
+        capsys.readouterr()
+        assert _rerun(tmp_path, "edited", edited) == (2, None)
+        assert capsys.readouterr().err.splitlines() == [f"hullcover: error: exhaustive budget takes no {shown}"]
+
+
+def test_a_sampled_budget_reads_its_seed_as_a_coloring_does(tmp_path, capsys):
+    k4_spec = {"kind": "graphic", "complete": 4}
+    k4 = write_json(tmp_path / "k4.json", k4_spec)
+    for seed in (None, "7"):
+        fresh = tmp_path / "fresh.json"
+        assert run(["check-axioms", k4, "--budget", "sampled:5", *(["--seed", seed] if seed else []),
+                    "--out", fresh]) == 0
+        # a null budget seed takes the top-level seed, or 0, as the fresh run did
+        budget = {"mode": "sampled", "count": 5, "max_subset_size": 3, "seed": None}
+        manifest = {"subcommand": "check-axioms", "parameters": {"spec": k4_spec, "budget": budget}, "seed": seed}
+        code, first = _rerun(tmp_path, "null-seed", manifest)
+        assert (code, first) == (0, fresh.read_bytes())
+        assert run(["rerun", tmp_path / "null-seed.out.json", "--out", fresh]) == 0
+        assert fresh.read_bytes() == first
+    budget = {"mode": "sampled", "count": 5, "max_subset_size": 3, "seed": 5}
+    manifest = {"subcommand": "check-axioms", "parameters": {"spec": k4_spec, "budget": budget}, "seed": 11}
+    capsys.readouterr()
+    assert _rerun(tmp_path, "contradiction", manifest) == (2, None)
+    assert capsys.readouterr().err.splitlines() == ["hullcover: error: budget seed 5 contradicts --seed 11"]
 
 
 def test_rerun_rejects_foreign_documents(tmp_path):

@@ -325,7 +325,9 @@ def test_budget_parse_round_trip():
                    {"mode": "exhaustive", "max_subset_size": "3"},
                    {"mode": "sampled", "seed": 0, "count": 0},
                    {"mode": "sampled", "seed": 0, "count": None},
-                   {"mode": "sampled", "seed": None, "count": 5}):
+                   {"mode": "sampled", "seed": None, "count": 5},
+                   # an exhaustive budget uses neither a seed nor a COUNT, so it takes none
+                   {"mode": "exhaustive", "seed": 0}, {"mode": "exhaustive", "count": 5}):
         with pytest.raises(InputError):
             Budget(**fields)
     # the sampled constructor refuses what int() would truncate

@@ -375,25 +375,45 @@ def test_prepared_spans_never_answer_stale(spec):
 # --- differential checks against independent implementations ---------------------
 
 
+def _graphic_matches_networkx(nx, n, edges, F):
+    M = build_graphic_matroid(GraphSpec(n, tuple(edges)))
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    assert len(greedy_basis(M)) == n - nx.number_connected_components(G)
+
+    H = nx.Graph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from(edges[i] for i in F)
+    component = {v: c for c, part in enumerate(nx.connected_components(H)) for v in part}
+    expected = {i for i, (u, v) in enumerate(edges) if component[u] == component[v]}
+    assert closure(M, F) == expected
+
+
 def test_graphic_closure_and_rank_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(1, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        M = build_graphic_matroid(GraphSpec(n, tuple(edges)))
-        G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from(edges)
-        assert len(greedy_basis(M)) == n - nx.number_connected_components(G)
-
-        F = [i for i in range(len(edges)) if rng.random() < 0.5]
-        H = nx.Graph()
-        H.add_nodes_from(range(n))
-        H.add_edges_from(edges[i] for i in F)
-        component = {v: c for c, part in enumerate(nx.connected_components(H)) for v in part}
-        expected = {i for i, (u, v) in enumerate(edges) if component[u] == component[v]}
-        assert closure(M, F) == expected
+        _graphic_matches_networkx(nx, n, edges, [i for i in range(len(edges)) if rng.random() < 0.5])
+    for _ in range(12):
+        n = rng.randint(8, 40)
+        density = rng.choice((0.05, 0.1, 0.3))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        _graphic_matches_networkx(nx, n, edges, [i for i in range(len(edges)) if rng.random() < 0.5])
+    # path-shaped F, listed from the far end: on vertices in order, each union
+    # hangs the path so far under the next vertex, so the tree is as deep as
+    # the path and reading its roots halves long chains; shuffled vertices mix
+    # the direction of each union
+    for n in (2, 10, 25, 40):
+        order = list(range(n))
+        for _ in range(3):
+            path = [tuple(sorted(order[i : i + 2])) for i in reversed(range(n - 1))]
+            chords = [e for e in itertools.combinations(range(n), 2) if e not in path and rng.random() < 0.1]
+            for F in (range(n - 1), range(0, n - 1, 2), range(n // 2, n - 1)):
+                _graphic_matches_networkx(nx, n, path + chords, list(F))
+            rng.shuffle(order)
 
 
 def test_fp_spans_listed_or_reduced_match_elimination():
